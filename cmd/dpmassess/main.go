@@ -26,8 +26,9 @@
 // parallel product, "minimize" lumps each component before composition
 // and folds vanishing states during generation, so the full product never
 // materializes. Measure values are identical either way; state counts are
-// not, because minimization is the point. sim always runs on the full
-// model — minimization accelerates the Markovian path only.
+// not, because minimization is the point. sim takes no -compose: it always
+// runs on the full model — minimization accelerates the Markovian path
+// only.
 //
 // The solve subcommand is resumable on models with rate parameters:
 // -checkpoint periodically saves the solver's progress to a versioned,
@@ -56,7 +57,6 @@ import (
 	"repro/internal/aemilia/parser"
 	"repro/internal/bisim"
 	"repro/internal/compose"
-	"repro/internal/core"
 	"repro/internal/ctmc"
 	"repro/internal/elab"
 	"repro/internal/hml"
@@ -653,7 +653,7 @@ func runSolve(args []string) error {
 		Minimize: minimize,
 		Solve:    ctmc.SolveOptions{Sweep: sweep, Workers: *workers, Ctx: ctx},
 	}, pipeline.Config{Workers: *workers, LaneWidth: *lanes, Ctx: ctx})
-	var rep *core.Phase2Report
+	var rep *pipeline.Phase2Report
 	if *ckptPath != "" {
 		// Checkpointed solves go through the sweep driver: a one-point
 		// sweep at the model's own rates, saved to (and resumed from) the
@@ -668,7 +668,7 @@ func runSolve(args []string) error {
 			}
 			point = l.SlotDefaults()
 		}
-		reports, err := s.SweepCheckpointed([][]float64{point},
+		reports, err := s.Sweep([][]float64{point},
 			&pipeline.CheckpointOptions{Path: *ckptPath, Every: 1, Resume: *resume})
 		if err != nil {
 			return err
@@ -727,7 +727,6 @@ func runSim(args []string) error {
 	reps := fs.Int("reps", 30, "independent replications")
 	seed := fs.Uint64("seed", 1, "master random seed")
 	level := fs.Float64("confidence", 0.90, "confidence level")
-	composeMode := composeFlag(fs)
 	workers := fs.Int("workers", runtime.NumCPU(),
 		"concurrent replications (estimates are identical at any value)")
 	timeout := timeoutFlag(fs)
@@ -749,26 +748,16 @@ func runSim(args []string) error {
 	if *measuresPath == "" {
 		return fmt.Errorf("-measures is required")
 	}
-	if minimize, err := parseCompose(*composeMode); err != nil {
-		return err
-	} else if minimize {
-		// Accepted for interface uniformity with lts/solve: simulation
-		// always walks the full model, so there is nothing to minimize.
-		fmt.Fprintln(os.Stderr, "dpmassess: sim always runs on the full model; -compose minimize has no effect")
-	}
 	ms, err := readMeasures(*measuresPath)
 	if err != nil {
 		return err
 	}
-	src, err := os.ReadFile(path)
+	m, err := loadModel(path)
 	if err != nil {
 		return err
 	}
-	arch, err := parser.Parse(string(src))
-	if err != nil {
-		return err
-	}
-	rep, err := core.Phase3(arch, nil, ms, core.SimSettings{
+	s := pipeline.NewSession(pipeline.Spec{Model: m, Measures: ms}, pipeline.Config{})
+	rep, err := s.Phase3(nil, pipeline.SimSettings{
 		RunLength:       *runLength,
 		Warmup:          *warmup,
 		Replications:    *reps,

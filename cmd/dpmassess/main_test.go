@@ -73,6 +73,10 @@ func TestRunCheckSolveSim(t *testing.T) {
 		"-runlength", "200", "-reps", "2", model}); err != nil {
 		t.Fatal(err)
 	}
+	// Simulation always walks the full model, so sim has no -compose flag.
+	if err := run([]string{"sim", "-compose", "minimize", "-measures", measures, model}); err == nil {
+		t.Error("sim accepted -compose")
+	}
 }
 
 func TestRunEquivAndMinimize(t *testing.T) {

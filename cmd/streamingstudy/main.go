@@ -17,7 +17,6 @@ import (
 	"os"
 	"runtime"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/pipeline"
 )
@@ -83,10 +82,10 @@ func run(args []string) error {
 	cfg.CheckpointResume = *resume
 	study := experiments.NewRunner(cfg)
 	scale := experiments.Full
-	settings := core.SimSettings{Workers: *workers}
+	settings := pipeline.SimSettings{Workers: *workers}
 	if *quick {
 		scale = experiments.Quick
-		settings = core.SimSettings{RunLength: 60000, Warmup: 20000, Replications: 5, Workers: *workers}
+		settings = pipeline.SimSettings{RunLength: 60000, Warmup: 20000, Replications: 5, Workers: *workers}
 	}
 	render := experiments.FormatTable
 	if *csv {

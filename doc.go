@@ -15,7 +15,7 @@
 //
 // Entry points:
 //
-//   - internal/core       — the three-phase methodology (Fig. 1)
+//   - internal/pipeline   — the three-phase methodology (Fig. 1) on sessions
 //   - internal/models     — the rpc and streaming case studies
 //   - internal/experiments — one driver per paper figure
 //   - cmd/dpmassess       — CLI over .aem files

@@ -10,9 +10,8 @@ import (
 	"log"
 
 	"repro/internal/aemilia"
-	"repro/internal/core"
-	"repro/internal/lts"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/rates"
 )
 
@@ -68,16 +67,15 @@ func buildMulticast(n int) (*aemilia.ArchiType, error) {
 func run() error {
 	fmt.Println("subscribers  broadcast_rate  states")
 	for n := 1; n <= 4; n++ {
-		arch, err := buildMulticast(n)
-		if err != nil {
-			return err
-		}
 		measures := []measure.Measure{
 			{Name: "broadcasts", Clauses: []measure.Clause{
 				{Instance: "SRC", Action: "publish", Kind: measure.TransReward, Value: 1},
 			}},
 		}
-		rep, err := core.Phase2(arch, measures, lts.GenerateOptions{})
+		rep, err := pipeline.NewSession(pipeline.Spec{
+			Build:    func() (*aemilia.ArchiType, error) { return buildMulticast(n) },
+			Measures: measures,
+		}, pipeline.Config{}).Phase2()
 		if err != nil {
 			return err
 		}

@@ -11,9 +11,9 @@ import (
 	"log"
 
 	"repro/internal/aemilia"
-	"repro/internal/core"
 	"repro/internal/lts"
 	"repro/internal/noninterference"
+	"repro/internal/pipeline"
 	"repro/internal/rates"
 )
 
@@ -122,11 +122,7 @@ func run() error {
 		Low:  lts.LabelMatcherByInstance("L"),
 	}
 
-	leaky, err := leakySystem()
-	if err != nil {
-		return err
-	}
-	rep, err := core.Phase1(leaky, spec, lts.GenerateOptions{})
+	rep, err := pipeline.NewSession(pipeline.Spec{Build: leakySystem}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
 	}
@@ -136,11 +132,7 @@ func run() error {
 		fmt.Println("  " + rep.Result.FormulaText)
 	}
 
-	sealed, err := sealedSystem()
-	if err != nil {
-		return err
-	}
-	rep, err = core.Phase1(sealed, spec, lts.GenerateOptions{})
+	rep, err = pipeline.NewSession(pipeline.Spec{Build: sealedSystem}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/aemilia"
 	"repro/internal/experiments"
 	"repro/internal/lts"
 	"repro/internal/models"
@@ -33,11 +33,7 @@ func run() error {
 		High: lts.LabelMatcherByNames(models.RPCHighLabels()...),
 		Low:  lts.LabelMatcherByInstance("C"),
 	}
-	simplified, err := models.BuildRPCSimplified()
-	if err != nil {
-		return err
-	}
-	rep1, err := core.Phase1(simplified, spec, lts.GenerateOptions{})
+	rep1, err := pipeline.NewSession(pipeline.Spec{Build: models.BuildRPCSimplified}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
 	}
@@ -49,11 +45,8 @@ func run() error {
 
 	p := models.DefaultRPCParams()
 	p.Mode = models.Functional
-	revised, err := models.BuildRPCRevised(p)
-	if err != nil {
-		return err
-	}
-	rep1b, err := core.Phase1(revised, spec, lts.GenerateOptions{})
+	revised := func() (*aemilia.ArchiType, error) { return models.BuildRPCRevised(p) }
+	rep1b, err := pipeline.NewSession(pipeline.Spec{Build: revised}, pipeline.Config{}).Phase1(spec)
 	if err != nil {
 		return err
 	}
@@ -75,7 +68,7 @@ func run() error {
 	// --- Phase 3a: validation (Fig. 5) ---------------------------------
 	fmt.Println("Phase 3 — validating the general model (Fig. 5)")
 	val, err := study.Fig5Validation([]float64{5, 15},
-		core.SimSettings{RunLength: 10000, Replications: 15})
+		pipeline.SimSettings{RunLength: 10000, Replications: 15})
 	if err != nil {
 		return err
 	}
@@ -85,7 +78,7 @@ func run() error {
 	// --- Phase 3b: the realistic general model (Fig. 3 right) ----------
 	fmt.Println("Phase 3 — general model with deterministic timings (Fig. 3, right)")
 	gpts, err := study.Fig3General([]float64{0, 2, 5, 8, 10, 12, 15, 25},
-		core.SimSettings{RunLength: 8000, Replications: 10})
+		pipeline.SimSettings{RunLength: 8000, Replications: 10})
 	if err != nil {
 		return err
 	}

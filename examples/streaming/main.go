@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/pipeline"
 )
@@ -42,7 +41,7 @@ func run() error {
 	fmt.Println(experiments.FormatTable(h, rows))
 
 	fmt.Println("Phase 3 — general model: CBR video, deterministic PSP, deadlines (Fig. 6)")
-	settings := core.SimSettings{RunLength: 120000, Warmup: 40000, Replications: 10}
+	settings := pipeline.SimSettings{RunLength: 120000, Warmup: 40000, Replications: 10}
 	gpts, err := study.Fig6General([]float64{25, 50, 100, 200, 400, 800},
 		experiments.Full, settings)
 	if err != nil {

@@ -27,7 +27,7 @@ type BatchOptions struct {
 
 // BatchPointError attributes a SolveBatch failure to one point of the
 // batch. Point indexes the points slice passed to SolveBatch;
-// core.Phase2Sweep translates it to the global sweep-point index. When
+// pipeline.Session.Sweep translates it to the global sweep-point index. When
 // several lanes fail, the lowest lane wins, matching the error a
 // sequential per-point loop over the same points would hit first.
 type BatchPointError struct {

@@ -131,12 +131,12 @@ func TestWorkerPanicNesting(t *testing.T) {
 // wrapper keeps the context cause reachable and can itself wrap a solver
 // error context (e.g. a cancellation observed while escalating).
 func TestCanceledErrorNesting(t *testing.T) {
-	ce := &fault.CanceledError{Phase: "core.sweep", Point: 4, Iteration: -1, Err: context.DeadlineExceeded}
+	ce := &fault.CanceledError{Phase: "pipeline.sweep", Point: 4, Iteration: -1, Err: context.DeadlineExceeded}
 	if !errors.Is(ce, context.DeadlineExceeded) {
 		t.Error("CanceledError does not unwrap to its context cause")
 	}
 	msg := ce.Error()
-	if !strings.Contains(msg, "core.sweep canceled") || !strings.Contains(msg, "point 4") {
+	if !strings.Contains(msg, "pipeline.sweep canceled") || !strings.Contains(msg, "point 4") {
 		t.Errorf("message %q incomplete", msg)
 	}
 	if strings.Contains(msg, "iteration") {
@@ -144,7 +144,7 @@ func TestCanceledErrorNesting(t *testing.T) {
 	}
 	// A cancellation recovered from a panicking worker: both sentinels
 	// must survive the double wrap.
-	err := fault.Guard("core.sweep", 0, "point 4", func() error { panic(ce) })
+	err := fault.Guard("pipeline.sweep", 0, "point 4", func() error { panic(ce) })
 	if !errors.Is(err, fault.ErrWorkerPanic) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("double-wrapped cancellation lost a sentinel: %v", err)
 	}

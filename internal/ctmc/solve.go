@@ -98,7 +98,7 @@ type SolveOptions struct {
 	// sweeps must derive the seed deterministically: solve one designated
 	// anchor point cold and seed every other point from the anchor's
 	// solution, independent of worker count and scheduling (see
-	// core.Phase2Sweep).
+	// pipeline.Session.Sweep).
 	WarmStart []float64
 	// Ctx optionally makes the solve cancelable: the sweeps poll it at
 	// every iteration boundary and return a *fault.CanceledError carrying
@@ -144,8 +144,8 @@ type ConvergenceError struct {
 	Cycles int
 	// Point is the sweep-point index the failed solve belongs to, or -1
 	// when the solve was not part of a sweep. SolveBatch sets it to the
-	// batch-local lane; core.Phase2Sweep rewrites it to the global
-	// sweep-point index, so a failed point in a 100-point grid is
+	// batch-local lane; pipeline.Session.Sweep rewrites it to the
+	// global sweep-point index, so a failed point in a 100-point grid is
 	// identifiable from the error alone.
 	Point int
 	// Params is the rate-slot vector of the failed sweep point (nil

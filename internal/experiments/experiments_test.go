@@ -1,17 +1,22 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/pipeline"
 )
 
 // The experiment tests run at Quick scale with short simulations: they
 // assert the paper's qualitative shapes, not absolute values.
 
+// newRunner returns a fresh Runner at the machine's core count, one per
+// experiment call, so no staged artifact is shared between calls.
+func newRunner() *Runner { return NewRunner(pipeline.Config{Workers: runtime.NumCPU()}) }
+
 func TestSect3Results(t *testing.T) {
-	simplified, err := RPCNoninterferenceSimplified()
+	simplified, err := newRunner().RPCNoninterferenceSimplified()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +27,7 @@ func TestSect3Results(t *testing.T) {
 		t.Errorf("formula missing client send label: %s", simplified.Formula)
 	}
 
-	revised, err := RPCNoninterferenceRevised()
+	revised, err := newRunner().RPCNoninterferenceRevised()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +35,7 @@ func TestSect3Results(t *testing.T) {
 		t.Errorf("revised rpc must pass; formula: %s", revised.Formula)
 	}
 
-	streaming, err := StreamingNoninterference(Quick)
+	streaming, err := newRunner().StreamingNoninterference(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,7 @@ func TestSect3Results(t *testing.T) {
 }
 
 func TestFig3MarkovShapes(t *testing.T) {
-	pts, err := Fig3Markov([]float64{0.5, 5, 25})
+	pts, err := newRunner().Fig3Markov([]float64{0.5, 5, 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +76,8 @@ func TestFig3MarkovShapes(t *testing.T) {
 }
 
 func TestFig3GeneralBimodal(t *testing.T) {
-	settings := core.SimSettings{RunLength: 4000, Replications: 6}
-	pts, err := Fig3General([]float64{2, 10, 20}, settings)
+	settings := pipeline.SimSettings{RunLength: 4000, Replications: 6}
+	pts, err := newRunner().Fig3General([]float64{2, 10, 20}, settings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +111,7 @@ func TestFig3GeneralBimodal(t *testing.T) {
 }
 
 func TestFig4MarkovShapes(t *testing.T) {
-	pts, err := Fig4Markov([]float64{25, 100, 400}, Quick)
+	pts, err := newRunner().Fig4Markov([]float64{25, 100, 400}, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +140,8 @@ func TestFig4MarkovShapes(t *testing.T) {
 }
 
 func TestFig5ValidationConsistency(t *testing.T) {
-	pts, err := Fig5Validation([]float64{5, 20},
-		core.SimSettings{RunLength: 8000, Replications: 10})
+	pts, err := newRunner().Fig5Validation([]float64{5, 20},
+		pipeline.SimSettings{RunLength: 8000, Replications: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +156,8 @@ func TestFig5ValidationConsistency(t *testing.T) {
 }
 
 func TestFig6GeneralShapes(t *testing.T) {
-	settings := core.SimSettings{RunLength: 60000, Warmup: 30000, Replications: 4}
-	pts, err := Fig6General([]float64{50, 800}, Full, settings)
+	settings := pipeline.SimSettings{RunLength: 60000, Warmup: 30000, Replications: 4}
+	pts, err := newRunner().Fig6General([]float64{50, 800}, Full, settings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +186,8 @@ func TestFig6GeneralShapes(t *testing.T) {
 }
 
 func TestFig7TradeoffMonotone(t *testing.T) {
-	curves, err := Fig7Tradeoff([]float64{1, 8, 20},
-		core.SimSettings{RunLength: 3000, Replications: 4})
+	curves, err := newRunner().Fig7Tradeoff([]float64{1, 8, 20},
+		pipeline.SimSettings{RunLength: 3000, Replications: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +208,8 @@ func TestFig7TradeoffMonotone(t *testing.T) {
 }
 
 func TestFig8TradeoffShapes(t *testing.T) {
-	curves, err := Fig8Tradeoff([]float64{50, 400}, Quick,
-		core.SimSettings{RunLength: 30000, Warmup: 5000, Replications: 3})
+	curves, err := newRunner().Fig8Tradeoff([]float64{50, 400}, Quick,
+		pipeline.SimSettings{RunLength: 30000, Warmup: 5000, Replications: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +275,7 @@ func TestRowRenderers(t *testing.T) {
 }
 
 func TestPolicyComparisonOrderings(t *testing.T) {
-	pts, err := PolicyComparison(5)
+	pts, err := newRunner().PolicyComparison(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +316,7 @@ func TestPolicyComparisonOrderings(t *testing.T) {
 }
 
 func TestBatteryLifetime(t *testing.T) {
-	pts, err := BatteryLifetime(2000, 5, 20)
+	pts, err := newRunner().BatteryLifetime(2000, 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,13 +355,13 @@ func TestBatteryLifetime(t *testing.T) {
 	if len(h) != 4 || len(rows) != 4 {
 		t.Errorf("BatteryRows shape: %v %v", h, rows)
 	}
-	if _, err := BatteryLifetime(0, 5, 20); err == nil {
+	if _, err := newRunner().BatteryLifetime(0, 5, 20); err == nil {
 		t.Error("zero budget should error")
 	}
 }
 
 func TestStreamingStartupTransient(t *testing.T) {
-	pts, err := StreamingStartupTransient([]float64{50, 500, 3000}, 100, Quick)
+	pts, err := newRunner().StreamingStartupTransient([]float64{50, 500, 3000}, 100, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +389,7 @@ func TestStreamingStartupTransient(t *testing.T) {
 	if len(h) != 3 || len(rows) != 3 {
 		t.Errorf("TransientRows shape: %v %v", h, rows)
 	}
-	if _, err := StreamingStartupTransient([]float64{100, 50}, 100, Quick); err == nil {
+	if _, err := newRunner().StreamingStartupTransient([]float64{100, 50}, 100, Quick); err == nil {
 		t.Error("decreasing sample times should error")
 	}
 }

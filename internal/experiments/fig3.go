@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 )
 
 // RPCMetrics are the three rpc performance indices of paper Fig. 3,
@@ -45,7 +45,7 @@ func DefaultRPCTimeouts() []float64 {
 // shutdown rate (slot models.RPCTimeoutSlot gets 1/T — the same value a
 // fresh build at that timeout would use) before a warm-started solve.
 // Reports come back in timeout order.
-func (r *Runner) rpcTimeoutSweep(timeouts []float64) ([]*core.Phase2Report, error) {
+func (r *Runner) rpcTimeoutSweep(timeouts []float64) ([]*pipeline.Phase2Report, error) {
 	p := models.DefaultRPCParams()
 	p.ParametricTimeout = true
 	s, err := r.rpcSession(p)
@@ -56,7 +56,7 @@ func (r *Runner) rpcTimeoutSweep(timeouts []float64) ([]*core.Phase2Report, erro
 	for i, T := range timeouts {
 		points[i] = []float64{1 / T}
 	}
-	return s.SweepCheckpointed(points, r.checkpointOpts("fig3-rpc-timeout"))
+	return s.Sweep(points, r.checkpointOpts("fig3-rpc-timeout"))
 }
 
 // Fig3Markov reproduces the left-hand side of paper Fig. 3: the Markovian
@@ -134,7 +134,7 @@ func (r *Runner) Fig3Markov(timeouts []float64) ([]RPCPoint, error) {
 // deterministic shutdown timeouts. Sweep points and the replications
 // within each run concurrently (settings.Workers, or Config.Workers);
 // results are bit-identical at any worker count.
-func (r *Runner) Fig3General(timeouts []float64, settings core.SimSettings) ([]RPCPoint, error) {
+func (r *Runner) Fig3General(timeouts []float64, settings pipeline.SimSettings) ([]RPCPoint, error) {
 	if timeouts == nil {
 		timeouts = DefaultRPCTimeouts()
 	}
@@ -171,7 +171,7 @@ func (r *Runner) Fig3General(timeouts []float64, settings core.SimSettings) ([]R
 	})
 }
 
-func rpcMetricsFromEstimates(rep *core.Phase3Report) RPCMetrics {
+func rpcMetricsFromEstimates(rep *pipeline.Phase3Report) RPCMetrics {
 	v := map[string]float64{
 		"throughput":   rep.Estimates["throughput"].Mean,
 		"waiting_time": rep.Estimates["waiting_time"].Mean,
@@ -182,7 +182,7 @@ func rpcMetricsFromEstimates(rep *core.Phase3Report) RPCMetrics {
 
 // applyRPCSimDefaults fills zero simulation settings with values sized for
 // the rpc model (times in ms).
-func (r *Runner) applyRPCSimDefaults(s *core.SimSettings) {
+func (r *Runner) applyRPCSimDefaults(s *pipeline.SimSettings) {
 	if s.RunLength == 0 {
 		s.RunLength = 20000
 	}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 )
 
 // StreamingMetrics are the four streaming indices of paper Fig. 4/6:
@@ -65,7 +65,7 @@ func streamingParams(scale Scale) models.StreamingParams {
 // positive awake periods as one rate-parametric sweep: generated and
 // built once, each period rebinds the PSP wakeup rate (slot
 // models.StreamingPeriodSlot gets 1/P) before a warm-started solve.
-func (r *Runner) streamingPeriodSweep(periods []float64, scale Scale) ([]*core.Phase2Report, error) {
+func (r *Runner) streamingPeriodSweep(periods []float64, scale Scale) ([]*pipeline.Phase2Report, error) {
 	p := streamingParams(scale)
 	p.ParametricPeriod = true
 	s, err := r.streamingSession(p)
@@ -76,7 +76,7 @@ func (r *Runner) streamingPeriodSweep(periods []float64, scale Scale) ([]*core.P
 	for i, P := range periods {
 		points[i] = []float64{1 / P}
 	}
-	return s.SweepCheckpointed(points, r.checkpointOpts(fmt.Sprintf("fig4-streaming-scale%d", scale)))
+	return s.Sweep(points, r.checkpointOpts(fmt.Sprintf("fig4-streaming-scale%d", scale)))
 }
 
 // Fig4Markov reproduces paper Fig. 4: the Markovian streaming comparison

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
 
@@ -33,7 +33,7 @@ type ValidationPoint struct {
 // Each sweep point stages its model in one session and shares it between
 // the analytic solution and the simulation; points run concurrently
 // (settings.Workers, or Config.Workers) in timeout order.
-func (r *Runner) Fig5Validation(timeouts []float64, settings core.SimSettings) ([]ValidationPoint, error) {
+func (r *Runner) Fig5Validation(timeouts []float64, settings pipeline.SimSettings) ([]ValidationPoint, error) {
 	if timeouts == nil {
 		timeouts = []float64{1, 5, 10, 15, 20, 25}
 	}

@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/pipeline"
 )
 
 func TestRunPointsPreservesOrder(t *testing.T) {
@@ -52,7 +52,7 @@ func TestRunPointsEmpty(t *testing.T) {
 // each point.
 func TestFig3GeneralWorkerDeterminism(t *testing.T) {
 	run := func(workers int) []RPCPoint {
-		pts, err := Fig3General([]float64{2, 10, 20}, core.SimSettings{
+		pts, err := newRunner().Fig3General([]float64{2, 10, 20}, pipeline.SimSettings{
 			RunLength: 600, Replications: 4, Workers: workers,
 		})
 		if err != nil {
@@ -71,7 +71,7 @@ func TestFig3GeneralWorkerDeterminism(t *testing.T) {
 // at any worker count.
 func TestFig5ValidationWorkerDeterminism(t *testing.T) {
 	run := func(workers int) []ValidationPoint {
-		pts, err := Fig5Validation([]float64{5, 20}, core.SimSettings{
+		pts, err := newRunner().Fig5Validation([]float64{5, 20}, pipeline.SimSettings{
 			RunLength: 1000, Replications: 3, Workers: workers,
 		})
 		if err != nil {
@@ -88,11 +88,8 @@ func TestFig5ValidationWorkerDeterminism(t *testing.T) {
 // TestFig4MarkovWorkerDeterminism pins the pure-Markovian sweep path
 // (RunPoints + cached models, no simulation) to the same contract.
 func TestFig4MarkovWorkerDeterminism(t *testing.T) {
-	old := DefaultWorkers
-	defer func() { DefaultWorkers = old }()
 	run := func(workers int) []StreamingPoint {
-		DefaultWorkers = workers
-		pts, err := Fig4Markov([]float64{50, 200, 400}, Quick)
+		pts, err := NewRunner(pipeline.Config{Workers: workers}).Fig4Markov([]float64{50, 200, 400}, Quick)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

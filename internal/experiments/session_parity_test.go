@@ -8,27 +8,23 @@ import (
 )
 
 // TestSessionPathMatchesLegacyAcrossWorkersAndLanes is the bit-identity
-// contract of the session layer: a Runner with an injected Config (the
-// session path, result store enabled) must produce byte-for-byte the
-// results of the deprecated package-level path, on both study models, at
-// every workers × lanes combination.
+// contract of the session layer: a Runner at any workers × lanes
+// combination, result store enabled, must produce byte-for-byte the
+// results of the sequential per-point baseline ({Workers: 1, LaneWidth:
+// 1}, no store) on both study models.
 func TestSessionPathMatchesLegacyAcrossWorkersAndLanes(t *testing.T) {
 	timeouts := []float64{0.5, 5, 25}
 	periods := []float64{50, 400}
 
-	// Legacy path: package-level wrappers reading the deprecated globals,
-	// pinned to the deterministic baseline.
-	oldW, oldL := DefaultWorkers, DefaultLaneWidth
-	DefaultWorkers, DefaultLaneWidth = 1, 1
-	wantRPC, err := Fig3Markov(timeouts)
+	baseline := NewRunner(pipeline.Config{Workers: 1, LaneWidth: 1})
+	wantRPC, err := baseline.Fig3Markov(timeouts)
 	if err != nil {
-		t.Fatalf("legacy Fig3Markov: %v", err)
+		t.Fatalf("baseline Fig3Markov: %v", err)
 	}
-	wantStreaming, err := Fig4Markov(periods, Quick)
+	wantStreaming, err := baseline.Fig4Markov(periods, Quick)
 	if err != nil {
-		t.Fatalf("legacy Fig4Markov: %v", err)
+		t.Fatalf("baseline Fig4Markov: %v", err)
 	}
-	DefaultWorkers, DefaultLaneWidth = oldW, oldL
 
 	for _, workers := range []int{1, 8} {
 		for _, lanes := range []int{1, 8} {
@@ -42,7 +38,7 @@ func TestSessionPathMatchesLegacyAcrossWorkersAndLanes(t *testing.T) {
 				t.Fatalf("workers=%d lanes=%d: Fig3Markov: %v", workers, lanes, err)
 			}
 			if !reflect.DeepEqual(gotRPC, wantRPC) {
-				t.Errorf("workers=%d lanes=%d: rpc session path diverged from legacy path:\n got %+v\nwant %+v",
+				t.Errorf("workers=%d lanes=%d: rpc session path diverged from baseline:\n got %+v\nwant %+v",
 					workers, lanes, gotRPC, wantRPC)
 			}
 			gotStreaming, err := r.Fig4Markov(periods, Quick)
@@ -50,7 +46,7 @@ func TestSessionPathMatchesLegacyAcrossWorkersAndLanes(t *testing.T) {
 				t.Fatalf("workers=%d lanes=%d: Fig4Markov: %v", workers, lanes, err)
 			}
 			if !reflect.DeepEqual(gotStreaming, wantStreaming) {
-				t.Errorf("workers=%d lanes=%d: streaming session path diverged from legacy path:\n got %+v\nwant %+v",
+				t.Errorf("workers=%d lanes=%d: streaming session path diverged from baseline:\n got %+v\nwant %+v",
 					workers, lanes, gotStreaming, wantStreaming)
 			}
 		}

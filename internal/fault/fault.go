@@ -3,7 +3,7 @@
 // uses.
 //
 // Two failure families live here because every layer (lts, ctmc, sim,
-// core) produces them and no layer may import another for its error
+// pipeline) produces them and no layer may import another for its error
 // types:
 //
 //   - CanceledError: cooperative cancellation observed at a poll point.
@@ -35,7 +35,7 @@ var ErrWorkerPanic = errors.New("worker panicked")
 // errors.Is(err, context.Canceled) keeps working through any nesting.
 type CanceledError struct {
 	// Phase names the interrupted computation ("lts.generate",
-	// "ctmc.steady-state", "ctmc.transient", "sim", "core.sweep").
+	// "ctmc.steady-state", "ctmc.transient", "sim", "pipeline.sweep").
 	Phase string
 	// Point is the sweep-point or replication index being processed when
 	// the cancellation was observed, or -1 when not applicable.
@@ -85,7 +85,7 @@ func Check(ctx context.Context, phase string, point, iteration int) error {
 // attribution, and surfaces it like any other task failure.
 type WorkerPanicError struct {
 	// Pool names the pool ("lts.generate", "ctmc.jacobi", "ctmc.batch",
-	// "core.sweep", "sim.replications").
+	// "pipeline.sweep", "sim.replications").
 	Pool string
 	// Worker is the index of the worker goroutine that recovered the
 	// panic (0 on a sequential path).

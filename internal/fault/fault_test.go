@@ -84,7 +84,7 @@ func TestGuardPassesThroughResults(t *testing.T) {
 
 func TestWorkerPanicUnwrapsErrorValues(t *testing.T) {
 	inner := fmt.Errorf("wrapped: %w", context.Canceled)
-	err := Guard("core.sweep", 1, "point 4", func() error { panic(inner) })
+	err := Guard("pipeline.sweep", 1, "point 4", func() error { panic(inner) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatal("panic(err) value not visible through Unwrap")
 	}

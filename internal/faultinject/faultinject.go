@@ -42,16 +42,16 @@ const (
 	// SiteBatchTile fires in a tile task of the batched Jacobi pool; the
 	// key is the tile index.
 	SiteBatchTile = "ctmc.batch.tile"
-	// SiteSweepPoint fires in a sweep-point task of core.Phase2Sweep; the
-	// key is the global point index.
-	SiteSweepPoint = "core.sweep.point"
+	// SiteSweepPoint fires in a sweep-point task of
+	// pipeline.Session.Sweep; the key is the global point index.
+	SiteSweepPoint = "pipeline.sweep.point"
 	// SiteSweepNonconverge marks a sweep point whose base solve is
 	// reported as non-converged even if it converged, to drive the
 	// escalation ladder; the key is the global point index.
-	SiteSweepNonconverge = "core.sweep.nonconverge"
+	SiteSweepNonconverge = "pipeline.sweep.nonconverge"
 	// SiteCheckpointWrite fires before a checkpoint write; the key is the
 	// write ordinal (0 for the first write of the sweep).
-	SiteCheckpointWrite = "core.checkpoint.write"
+	SiteCheckpointWrite = "pipeline.checkpoint.write"
 	// SiteSimReplication fires in a replication task of sim.Run; the key
 	// is the replication index.
 	SiteSimReplication = "sim.replication"

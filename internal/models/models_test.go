@@ -5,16 +5,36 @@ import (
 	"testing"
 
 	"repro/internal/aemilia"
-	"repro/internal/core"
 	"repro/internal/elab"
 	"repro/internal/lts"
+	"repro/internal/measure"
 	"repro/internal/noninterference"
+	"repro/internal/pipeline"
 )
 
 // paperFormula is the diagnostic formula of paper Sect. 3.1, verbatim.
 const paperFormula = "EXISTS_WEAK_TRANS(LABEL(C.send_rpc_packet#RCS.get_packet); " +
 	"REACHED_STATE_SAT(NOT(EXISTS_WEAK_TRANS(LABEL(RSC.deliver_packet#C.receive_result_packet); " +
 	"REACHED_STATE_SAT(TRUE)))))"
+
+// session opens a one-shot pipeline session on arch with the given
+// measures.
+func session(arch *aemilia.ArchiType, measures []measure.Measure) *pipeline.Session {
+	return pipeline.NewSession(pipeline.Spec{
+		Build:    func() (*aemilia.ArchiType, error) { return arch, nil },
+		Measures: measures,
+	}, pipeline.Config{})
+}
+
+// phase1 runs the functional phase on arch.
+func phase1(arch *aemilia.ArchiType, spec noninterference.Spec) (*pipeline.Phase1Report, error) {
+	return session(arch, nil).Phase1(spec)
+}
+
+// phase2 runs the Markovian phase on arch.
+func phase2(arch *aemilia.ArchiType, measures []measure.Measure) (*pipeline.Phase2Report, error) {
+	return session(arch, measures).Phase2()
+}
 
 func rpcSpec() noninterference.Spec {
 	return noninterference.Spec{
@@ -28,7 +48,7 @@ func TestRPCSimplifiedFailsWithPaperFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep, err := phase1(a, rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +71,7 @@ func TestRPCRevisedPassesNoninterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep, err := phase1(a, rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +90,7 @@ func TestRPCRevisedWithoutDPMStillPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep, err := phase1(a, rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +108,10 @@ func TestStreamingPassesNoninterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, noninterference.Spec{
+	rep, err := phase1(a, noninterference.Spec{
 		High: lts.LabelMatcherByNames(StreamingHighLabels()...),
 		Low:  lts.LabelMatcherByInstance("C"),
-	}, lts.GenerateOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +132,7 @@ func TestRPCMarkovianOrderings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.Phase2(a, RPCMeasures(p), lts.GenerateOptions{})
+		rep, err := phase2(a, RPCMeasures(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +164,7 @@ func TestRPCMarkovianTimeoutMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.Phase2(a, RPCMeasures(p), lts.GenerateOptions{})
+		rep, err := phase2(a, RPCMeasures(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +187,7 @@ func TestRPCZeroTimeoutIsImmediate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase2(a, RPCMeasures(p), lts.GenerateOptions{})
+	rep, err := phase2(a, RPCMeasures(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +199,7 @@ func TestRPCZeroTimeoutIsImmediate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep5, err := core.Phase2(a5, RPCMeasures(p5), lts.GenerateOptions{})
+	rep5, err := phase2(a5, RPCMeasures(p5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +222,7 @@ func TestStreamingMarkovianOrderings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.Phase2(a, StreamingMeasures(p), lts.GenerateOptions{})
+		rep, err := phase2(a, StreamingMeasures(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +344,7 @@ func TestShutdownInterruptsServiceVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep, err := phase1(a, rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +367,7 @@ func TestShutdownInterruptsServiceVariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep2, err := core.Phase2(arch, RPCMeasures(q), lts.GenerateOptions{})
+		rep2, err := phase2(arch, RPCMeasures(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +407,7 @@ func TestPredictivePolicyBuildsAndSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Phase2(a, RPCMeasures(p), lts.GenerateOptions{})
+	rep, err := phase2(a, RPCMeasures(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +420,7 @@ func TestPredictivePolicyBuildsAndSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep1, err := core.Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	rep1, err := phase1(a, rpcSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/faultinject"
 )
 
-// CheckpointOptions makes a sweep resumable: SweepCheckpointed
+// CheckpointOptions makes a sweep resumable: Session.Sweep
 // periodically writes the completed point results and the anchor solution
 // to Path, and a later run with Resume set replays only the missing
 // points. Because every point's result is a pure function of the sweep's

@@ -8,9 +8,22 @@
 // built lazily exactly once per session state (single-flight, context
 // aware) and shared by every handle opened on the same SpecHash through a
 // Manager, so overlapping requests collapse onto shared work instead of
-// regenerating it. The phase entry points of internal/core are thin
-// adapters over ephemeral sessions, which keeps their results
-// bit-identical to the session path by construction.
+// regenerating it. NewSession opens an ephemeral, uninterned Session for
+// one-shot callers (a CLI solving one file, an example program).
+//
+// The phase methods follow the paper's Fig. 1 methodology, each consuming
+// the model of the previous one:
+//
+//  1. Functional phase (Session.Phase1) — noninterference analysis of the
+//     untimed model: the DPM must be transparent to the client.
+//  2. Markovian phase (Session.Phase2, Session.Sweep) — the model is
+//     enriched with exponentially distributed durations; the resulting
+//     CTMC is solved and reward-based measures are compared with and
+//     without the DPM.
+//  3. General phase (Session.Phase3) — exponential delays are replaced by
+//     general distributions; the general model is first validated against
+//     the Markovian one by simulating it with exponential durations
+//     (Validate), then simulated with the realistic durations.
 package pipeline
 
 import (

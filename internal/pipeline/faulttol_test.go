@@ -1,11 +1,12 @@
 // Fault-tolerance properties of the sweep driver: cancellation with
 // checkpoint/resume bit-identity, panic attribution, deterministic
 // escalation traces, and the checkpoint format's failure modes.
-package core
+package pipeline_test
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/lts"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 )
 
 // rpcSweepFixture returns the parametric rpc model, its measures, and a
@@ -33,7 +35,7 @@ func rpcSweepFixture(t *testing.T) (*models.RPCParams, [][]float64) {
 	return &p, points
 }
 
-func requireSameReports(t *testing.T, tag string, want, got []*Phase2Report) {
+func requireSameReports(t *testing.T, tag string, want, got []*pipeline.Phase2Report) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d reports vs %d", tag, len(want), len(got))
@@ -62,14 +64,14 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 	m := elaborateRPC(t, *p)
 	measures := models.RPCMeasures(*p)
 
-	baseline, err := Phase2Sweep(m, measures, points, SweepOptions{})
+	baseline, err := modelSession(m, measures, pipeline.Config{}).Sweep(points, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 8} {
 		for _, lanes := range []int{1, 8} {
-			tag := "workers=" + itoa(workers) + " lanes=" + itoa(lanes)
+			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
 			// Cancel on the second solve to pass iteration 2: the anchor
@@ -83,12 +85,7 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 					}
 				})
 			faultinject.Activate(plan)
-			_, err := Phase2Sweep(m, measures, points, SweepOptions{
-				Workers:    workers,
-				LaneWidth:  lanes,
-				Ctx:        ctx,
-				Checkpoint: &CheckpointOptions{Path: path, Every: 1},
-			})
+			_, err := modelSession(m, measures, pipeline.Config{Workers: workers, LaneWidth: lanes, Ctx: ctx}).Sweep(points, &pipeline.CheckpointOptions{Path: path, Every: 1})
 			faultinject.Deactivate()
 			cancel()
 			if err == nil {
@@ -105,24 +102,13 @@ func TestPhase2SweepCancelCheckpointResume(t *testing.T) {
 				t.Fatalf("%s: canceled sweep left no checkpoint: %v", tag, err)
 			}
 
-			resumed, err := Phase2Sweep(m, measures, points, SweepOptions{
-				Workers:    workers,
-				LaneWidth:  lanes,
-				Checkpoint: &CheckpointOptions{Path: path, Every: 1, Resume: true},
-			})
+			resumed, err := modelSession(m, measures, pipeline.Config{Workers: workers, LaneWidth: lanes}).Sweep(points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
 			if err != nil {
 				t.Fatalf("%s: resume failed: %v", tag, err)
 			}
 			requireSameReports(t, tag, baseline, resumed)
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
 }
 
 // TestPhase2SweepPanicAttribution injects a panic at sweep point 3 and
@@ -135,10 +121,10 @@ func TestPhase2SweepPanicAttribution(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		for _, lanes := range []int{1, 8} {
-			tag := "workers=" + itoa(workers) + " lanes=" + itoa(lanes)
+			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			plan := faultinject.NewPlan().Arm(faultinject.SiteSweepPoint, 3)
 			faultinject.Activate(plan)
-			_, err := Phase2Sweep(m, measures, points, SweepOptions{Workers: workers, LaneWidth: lanes})
+			_, err := modelSession(m, measures, pipeline.Config{Workers: workers, LaneWidth: lanes}).Sweep(points, nil)
 			faultinject.Deactivate()
 			if err == nil {
 				t.Fatalf("%s: injected panic vanished", tag)
@@ -147,8 +133,8 @@ func TestPhase2SweepPanicAttribution(t *testing.T) {
 			if !errors.As(err, &wpe) {
 				t.Fatalf("%s: want *fault.WorkerPanicError, got %T: %v", tag, err, err)
 			}
-			if wpe.Pool != "core.sweep" {
-				t.Errorf("%s: panic attributed to pool %q, want core.sweep", tag, wpe.Pool)
+			if wpe.Pool != "pipeline.sweep" {
+				t.Errorf("%s: panic attributed to pool %q, want pipeline.sweep", tag, wpe.Pool)
 			}
 			if !errors.Is(err, fault.ErrWorkerPanic) {
 				t.Errorf("%s: errors.Is(err, fault.ErrWorkerPanic) is false", tag)
@@ -176,7 +162,7 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 	// a pinned sweep.
 	solve := ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, Escalation: ctmc.EscalateLadder}
 
-	baseline, err := Phase2Sweep(m, measures, points, SweepOptions{Solve: solve})
+	baseline, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures, Solve: solve}, pipeline.Config{}).Sweep(points, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +175,10 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 	var traces []*ctmc.SolveTrace
 	for _, workers := range []int{1, 8} {
 		for _, lanes := range []int{1, 8} {
-			tag := "workers=" + itoa(workers) + " lanes=" + itoa(lanes)
+			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			plan := faultinject.NewPlan().Arm(faultinject.SiteSweepNonconverge, 2)
 			faultinject.Activate(plan)
-			reps, err := Phase2Sweep(m, measures, points, SweepOptions{
-				Solve:     solve,
-				Workers:   workers,
-				LaneWidth: lanes,
-			})
+			reps, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures, Solve: solve}, pipeline.Config{Workers: workers, LaneWidth: lanes}).Sweep(points, nil)
 			faultinject.Deactivate()
 			if err != nil {
 				t.Fatalf("%s: ladder did not recover the forced failure: %v", tag, err)
@@ -231,9 +213,7 @@ func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
 	// error attributed to point 2 — never silently succeed.
 	plan := faultinject.NewPlan().Arm(faultinject.SiteSweepNonconverge, 2)
 	faultinject.Activate(plan)
-	_, err = Phase2Sweep(m, measures, points, SweepOptions{
-		Solve: ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel},
-	})
+	_, err = pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures, Solve: ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel}}, pipeline.Config{}).Sweep(points, nil)
 	faultinject.Deactivate()
 	if err == nil {
 		t.Fatal("forced non-convergence vanished without the ladder")
@@ -255,16 +235,14 @@ func TestPhase2SweepCheckpointWriteFailure(t *testing.T) {
 
 	plan := faultinject.NewPlan().Arm(faultinject.SiteCheckpointWrite, 0)
 	faultinject.Activate(plan)
-	_, err := Phase2Sweep(m, measures, points, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1},
-	})
+	_, err := modelSession(m, measures, pipeline.Config{}).Sweep(points, &pipeline.CheckpointOptions{Path: path, Every: 1})
 	faultinject.Deactivate()
 	if err == nil {
 		t.Fatal("failed checkpoint write ignored")
 	}
-	var cke *CheckpointError
+	var cke *pipeline.CheckpointError
 	if !errors.As(err, &cke) || cke.Op != "write" {
-		t.Fatalf("want a write *CheckpointError, got %T: %v", err, err)
+		t.Fatalf("want a write *pipeline.CheckpointError, got %T: %v", err, err)
 	}
 	var ie *faultinject.InjectedError
 	if !errors.As(err, &ie) || ie.Site != faultinject.SiteCheckpointWrite {
@@ -282,27 +260,21 @@ func TestCheckpointResumeRejects(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
 	// Missing file: resume is a fresh start, and completes the checkpoint.
-	reps, err := Phase2Sweep(m, measures, points, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1, Resume: true},
-	})
+	reps, err := modelSession(m, measures, pipeline.Config{}).Sweep(points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A full checkpoint resumes to identical reports.
-	resumed, err := Phase2Sweep(m, measures, points, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1, Resume: true},
-	})
+	resumed, err := modelSession(m, measures, pipeline.Config{}).Sweep(points, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameReports(t, "complete-resume", reps, resumed)
 
 	// A different point set must be rejected as a mismatch.
-	_, err = Phase2Sweep(m, measures, points[:5], SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Resume: true},
-	})
-	if !errors.Is(err, ErrCheckpointMismatch) {
+	_, err = modelSession(m, measures, pipeline.Config{}).Sweep(points[:5], &pipeline.CheckpointOptions{Path: path, Resume: true})
+	if !errors.Is(err, pipeline.ErrCheckpointMismatch) {
 		t.Errorf("mismatched sweep resumed: %v", err)
 	}
 
@@ -315,15 +287,13 @@ func TestCheckpointResumeRejects(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Phase2Sweep(m, measures, points, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Resume: true},
-	})
-	if !errors.Is(err, ErrCheckpointCorrupt) {
+	_, err = modelSession(m, measures, pipeline.Config{}).Sweep(points, &pipeline.CheckpointOptions{Path: path, Resume: true})
+	if !errors.Is(err, pipeline.ErrCheckpointCorrupt) {
 		t.Errorf("corrupt checkpoint resumed: %v", err)
 	}
 
 	// Checkpointing with no path is a configuration error.
-	if _, err := Phase2Sweep(m, measures, points, SweepOptions{Checkpoint: &CheckpointOptions{}}); err == nil {
+	if _, err := modelSession(m, measures, pipeline.Config{}).Sweep(points, &pipeline.CheckpointOptions{}); err == nil {
 		t.Error("empty checkpoint path accepted")
 	}
 }
@@ -336,7 +306,7 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	measures := models.RPCMeasures(*p)
 
 	// Zero points: nothing to do, no error.
-	reps, err := Phase2Sweep(m, measures, nil, SweepOptions{})
+	reps, err := modelSession(m, measures, pipeline.Config{}).Sweep(nil, nil)
 	if err != nil || reps != nil {
 		t.Errorf("empty sweep: got (%v, %v), want (nil, nil)", reps, err)
 	}
@@ -348,11 +318,11 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defaults := l.SlotDefaults()
-	single, err := Phase2Sweep(m, measures, [][]float64{defaults}, SweepOptions{})
+	single, err := modelSession(m, measures, pipeline.Config{}).Sweep([][]float64{defaults}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Phase2Model(m, measures, lts.GenerateOptions{})
+	direct, err := modelSession(m, measures, pipeline.Config{}).Phase2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,13 +337,11 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	plain := elaborateRPC(t, models.DefaultRPCParams())
 	plainMeasures := models.RPCMeasures(models.DefaultRPCParams())
 	path := filepath.Join(t.TempDir(), "single.ckpt")
-	solo, err := Phase2Sweep(plain, plainMeasures, [][]float64{{}}, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1},
-	})
+	solo, err := modelSession(plain, plainMeasures, pipeline.Config{}).Sweep([][]float64{{}}, &pipeline.CheckpointOptions{Path: path, Every: 1})
 	if err != nil {
 		t.Fatalf("slot-free single-point sweep failed: %v", err)
 	}
-	plainDirect, err := Phase2Model(plain, plainMeasures, lts.GenerateOptions{})
+	plainDirect, err := modelSession(plain, plainMeasures, pipeline.Config{}).Phase2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,14 +350,12 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 			t.Errorf("slot-free solve measure %s: %v != %v", name, got, want)
 		}
 	}
-	resumedSolo, err := Phase2Sweep(plain, plainMeasures, [][]float64{{}}, SweepOptions{
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1, Resume: true},
-	})
+	resumedSolo, err := modelSession(plain, plainMeasures, pipeline.Config{}).Sweep([][]float64{{}}, &pipeline.CheckpointOptions{Path: path, Every: 1, Resume: true})
 	if err != nil {
 		t.Fatalf("slot-free resume failed: %v", err)
 	}
 	requireSameReports(t, "slot-free resume", solo, resumedSolo)
-	if _, err := Phase2Sweep(plain, plainMeasures, [][]float64{{}, {}}, SweepOptions{}); err == nil {
+	if _, err := modelSession(plain, plainMeasures, pipeline.Config{}).Sweep([][]float64{{}, {}}, nil); err == nil {
 		t.Error("multi-point sweep of a slot-free model accepted")
 	}
 
@@ -397,7 +363,7 @@ func TestPhase2SweepEdgePoints(t *testing.T) {
 	// from the same anchor seed, so their reports are bit-identical.
 	dup := [][]float64{{1. / 5}, {1. / 2}, {1. / 10}, {1. / 2}, {1. / 10}}
 	for _, lanes := range []int{1, 8} {
-		reps, err := Phase2Sweep(m, measures, dup, SweepOptions{LaneWidth: lanes})
+		reps, err := modelSession(m, measures, pipeline.Config{LaneWidth: lanes}).Sweep(dup, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package core
+package pipeline_test
 
 import (
 	"strings"
@@ -7,10 +7,12 @@ import (
 	"repro/internal/lts"
 	"repro/internal/models"
 	"repro/internal/noninterference"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
 
-func rpcSpec() noninterference.Spec {
+// rpcNISpec is the Sect. 3.1 noninterference check of the rpc model.
+func rpcNISpec() noninterference.Spec {
 	return noninterference.Spec{
 		High: lts.LabelMatcherByNames(models.RPCHighLabels()...),
 		Low:  lts.LabelMatcherByInstance("C"),
@@ -18,11 +20,8 @@ func rpcSpec() noninterference.Spec {
 }
 
 func TestPhase1EndToEnd(t *testing.T) {
-	a, err := models.BuildRPCSimplified()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Phase1(a, rpcSpec(), lts.GenerateOptions{})
+	s := pipeline.NewSession(pipeline.Spec{Build: models.BuildRPCSimplified}, pipeline.Config{})
+	rep, err := s.Phase1(rpcNISpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +34,7 @@ func TestPhase1EndToEnd(t *testing.T) {
 }
 
 func TestPhase2EndToEnd(t *testing.T) {
-	p := models.DefaultRPCParams()
-	a, err := models.BuildRPCRevised(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Phase2(a, models.RPCMeasures(p), lts.GenerateOptions{})
+	rep, err := pipeline.NewSession(rpcSpec(models.DefaultRPCParams()), pipeline.Config{}).Phase2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +56,7 @@ func TestPhase2EndToEnd(t *testing.T) {
 func TestPhase2RejectsFunctionalModel(t *testing.T) {
 	p := models.DefaultRPCParams()
 	p.Mode = models.Functional
-	a, err := models.BuildRPCRevised(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Phase2(a, models.RPCMeasures(p), lts.GenerateOptions{})
+	_, err := pipeline.NewSession(rpcSpec(p), pipeline.Config{}).Phase2()
 	if err == nil {
 		t.Fatal("an untimed model must be rejected by the Markovian phase")
 	}
@@ -78,25 +68,22 @@ func TestPhase2RejectsFunctionalModel(t *testing.T) {
 func TestPhase3AndValidation(t *testing.T) {
 	p := models.DefaultRPCParams()
 	p.ShutdownTimeout = 5
-	a, err := models.BuildRPCRevised(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := Phase2(a, models.RPCMeasures(p), lts.GenerateOptions{})
+	s := pipeline.NewSession(rpcSpec(p), pipeline.Config{})
+	exact, err := s.Phase2()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the general model with exponential distributions — the
 	// paper's Sect. 5.1 cross-validation.
-	simRep, err := Phase3(a, models.RPCExponentialDistributions(p), models.RPCMeasures(p),
-		SimSettings{RunLength: 8000, Warmup: 200, Replications: 10, Seed: 7})
+	simRep, err := s.Phase3(models.RPCExponentialDistributions(p),
+		pipeline.SimSettings{RunLength: 8000, Warmup: 200, Replications: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if simRep.Events == 0 || simRep.Replications != 10 {
 		t.Errorf("phase 3 bookkeeping wrong: %+v", simRep)
 	}
-	val := Validate(exact, simRep, 0.05)
+	val := pipeline.Validate(exact, simRep, 0.05)
 	if len(val.PerMeasure) != 3 {
 		t.Fatalf("validated %d measures, want 3", len(val.PerMeasure))
 	}
@@ -119,10 +106,10 @@ func makeEstimates(src map[string][2]float64) map[string]stats.Interval {
 }
 
 func TestValidateFlagsInconsistency(t *testing.T) {
-	exact := &Phase2Report{Values: map[string]float64{"m": 1.0, "skipped": 2}}
-	sim := &Phase3Report{}
+	exact := &pipeline.Phase2Report{Values: map[string]float64{"m": 1.0, "skipped": 2}}
+	sim := &pipeline.Phase3Report{}
 	sim.Estimates = makeEstimates(map[string][2]float64{"m": {2.0, 0.01}})
-	rep := Validate(exact, sim, 0.05)
+	rep := pipeline.Validate(exact, sim, 0.05)
 	if rep.Consistent {
 		t.Error("100% relative error must be inconsistent")
 	}
@@ -131,7 +118,7 @@ func TestValidateFlagsInconsistency(t *testing.T) {
 	}
 	// Within tolerance passes even outside the CI.
 	sim.Estimates = makeEstimates(map[string][2]float64{"m": {1.01, 0.001}})
-	rep = Validate(exact, sim, 0.05)
+	rep = pipeline.Validate(exact, sim, 0.05)
 	if !rep.Consistent {
 		t.Error("1% relative error within a 5% budget must be consistent")
 	}

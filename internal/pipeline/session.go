@@ -19,11 +19,11 @@ import (
 
 // stage is a single-flight lazily built artifact: the first caller runs
 // the builder (outside the lock), concurrent callers wait on it, and the
-// result — value or error — is latched for every later caller, mirroring
-// core.BuildCache's cache-failed-builds semantics. The one exception is
-// cancellation: a canceled build is returned to its own caller but never
-// latched, so a timeout cannot poison the session for everyone else —
-// the next caller simply becomes the new builder.
+// result — value or error — is latched for every later caller, so a
+// failed build runs once and every later caller sees its error. The one
+// exception is cancellation: a canceled build is returned to its own
+// caller but never latched, so a timeout cannot poison the session for
+// everyone else — the next caller simply becomes the new builder.
 type stage[T any] struct {
 	mu   sync.Mutex
 	done chan struct{} // non-nil while a build is in flight
@@ -178,8 +178,8 @@ func (mg *Manager) Len() int {
 
 // NewSession returns an ephemeral Session: same staging and single-flight
 // semantics, but the state is private to the handle (and to copies of
-// it), never interned. The core phase adapters use this so every legacy
-// call keeps its build-per-call behavior.
+// it), never interned: the one-shot entry point for callers that run a
+// single analysis and need no sharing across calls.
 func NewSession(spec Spec, cfg Config) *Session {
 	return &Session{st: newSessionState(spec, spec.Hash()), cfg: cfg}
 }
@@ -427,14 +427,4 @@ func (s *Session) Phase3(dists map[sim.Activity]dist.Distribution, settings SimS
 		Events:       res.Events,
 		Replications: res.Replications,
 	}, nil
-}
-
-// ValidateAgainst cross-validates the session's exact Markovian solution
-// against a simulation of the same model (see Validate).
-func (s *Session) ValidateAgainst(simulated *Phase3Report, relTolerance float64) (*ValidationReport, error) {
-	exact, err := s.Phase2()
-	if err != nil {
-		return nil, err
-	}
-	return Validate(exact, simulated, relTolerance), nil
 }

@@ -1,13 +1,17 @@
 package pipeline_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/aemilia"
 	"repro/internal/ctmc"
+	"repro/internal/fault"
 	"repro/internal/lts"
 	"repro/internal/models"
 	"repro/internal/pipeline"
@@ -182,6 +186,55 @@ func TestSessionSingleFlight(t *testing.T) {
 		if !reflect.DeepEqual(reports[0], reports[i]) {
 			t.Fatalf("caller %d saw a different report:\n%+v\n%+v", i, reports[0], reports[i])
 		}
+	}
+}
+
+// TestStageLatchesFailuresNotCancellations pins the stage latch: a failing
+// Spec.Build runs once and every later Model/Phase2 caller, on any handle
+// from the same Manager, gets the same error; a build canceled through
+// Config.Ctx is not latched, so the next caller, with a live context,
+// becomes the new builder and succeeds.
+func TestStageLatchesFailuresNotCancellations(t *testing.T) {
+	mgr := pipeline.NewManager()
+	boom := errors.New("boom")
+	var builds atomic.Int32
+	failing := pipeline.Spec{Key: "failing", Build: func() (*aemilia.ArchiType, error) {
+		builds.Add(1)
+		return nil, boom
+	}}
+	for i := 0; i < 3; i++ {
+		s, err := mgr.Open(failing, pipeline.Config{Workers: i + 1})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if _, err := s.Model(); !errors.Is(err, boom) {
+			t.Fatalf("handle %d: Model err = %v, want boom", i, err)
+		}
+		if _, err := s.Phase2(); !errors.Is(err, boom) {
+			t.Fatalf("handle %d: Phase2 err = %v, want boom", i, err)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("failing build ran %d times, want 1", n)
+	}
+
+	spec := rpcSpec(models.DefaultRPCParams())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s1, err := mgr.Open(spec, pipeline.Config{Workers: 1, Ctx: ctx})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var ce *fault.CanceledError
+	if _, err := s1.Phase2(); !errors.As(err, &ce) {
+		t.Fatalf("canceled Phase2 err = %v, want *fault.CanceledError", err)
+	}
+	s2, err := mgr.Open(spec, pipeline.Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := s2.Phase2(); err != nil {
+		t.Fatalf("Phase2 after a canceled build: %v", err)
 	}
 }
 

@@ -32,9 +32,9 @@ type Spec struct {
 	// function of Key.
 	Build func() (*aemilia.ArchiType, error)
 	// Model optionally supplies an already-elaborated model instead of
-	// Build — the entry point for callers that hold one (the core
-	// adapters, the CLI after parsing a file). Takes precedence over
-	// Build.
+	// Build — the entry point for callers that hold one (the CLI after
+	// parsing a file, a benchmark reusing one elaborated model). Takes
+	// precedence over Build.
 	Model *elab.Model
 	// Measures are evaluated by Phase2 and Sweep; their STATE_REWARD
 	// predicates are appended to the generation options, exactly as the

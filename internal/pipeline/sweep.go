@@ -104,17 +104,14 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // structure needs one generation per point instead. A slot-free model is
 // accepted with exactly one (empty) point — a single solve run through
 // the sweep driver for its checkpoint/resume and escalation machinery.
-func (s *Session) Sweep(points [][]float64) ([]*Phase2Report, error) {
-	return s.SweepCheckpointed(points, nil)
-}
-
-// SweepCheckpointed is Sweep with a resumable checkpoint (see
-// CheckpointOptions): completed point results and the anchor solution are
-// periodically written to ckOpts.Path, and a run with ckOpts.Resume set
-// solves only the missing points — with reports bit-identical to an
-// uninterrupted run, because every point's result is a pure function of
-// the input and the anchor solution.
-func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOptions) ([]*Phase2Report, error) {
+//
+// A non-nil ckOpts makes the sweep resumable (see CheckpointOptions):
+// completed point results and the anchor solution are periodically
+// written to ckOpts.Path, and a run with ckOpts.Resume set solves only
+// the missing points — with reports bit-identical to an uninterrupted
+// run, because every point's result is a pure function of the input and
+// the anchor solution. Nil disables checkpointing.
+func (s *Session) Sweep(points [][]float64, ckOpts *CheckpointOptions) ([]*Phase2Report, error) {
 	if len(points) == 0 {
 		return nil, nil
 	}
@@ -237,7 +234,7 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 	// returns the report and the solution vector (the anchor needs the
 	// latter to seed the warm starts).
 	solveAt := func(chain *ctmc.CTMC, i int, warm []float64) (*Phase2Report, []float64, error) {
-		if err := fault.Check(ctx, "core.sweep", i, -1); err != nil {
+		if err := fault.Check(ctx, "pipeline.sweep", i, -1); err != nil {
 			return nil, nil, err
 		}
 		if err := chain.Rebind(points[i]); err != nil {
@@ -278,7 +275,7 @@ func (s *Session) SweepCheckpointed(points [][]float64, ckOpts *CheckpointOption
 	// pool name predates the move to this package and is kept stable —
 	// it is part of the attribution contract callers match on.
 	solvePoint := func(w int, chain *ctmc.CTMC, i int, warm []float64) (rep *Phase2Report, pi []float64, err error) {
-		gerr := fault.Guard("core.sweep", w, fmt.Sprintf("point %d", i), func() error {
+		gerr := fault.Guard("pipeline.sweep", w, fmt.Sprintf("point %d", i), func() error {
 			faultinject.MaybePanic(faultinject.SiteSweepPoint, i)
 			var serr error
 			rep, pi, serr = solveAt(chain, i, warm)
@@ -532,7 +529,7 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, poin
 	// solveChunk solves points[off:off+width] on the given chain and fills
 	// their reports. It returns the failed global point index and error.
 	solveChunk := func(chain *ctmc.CTMC, off, width int) (int, error) {
-		if err := fault.Check(ctx, "core.sweep", off, -1); err != nil {
+		if err := fault.Check(ctx, "pipeline.sweep", off, -1); err != nil {
 			return off, err
 		}
 		pis, laneErrs, err := chain.SolveBatchLanes(points[off:off+width], ctmc.BatchOptions{Solve: mkSolve(anchorPi)})
@@ -582,7 +579,7 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, poin
 	// injection sites of the chunk's points are consulted up front so an
 	// armed SiteSweepPoint trigger fires in batched mode too.
 	runChunk := func(w int, chain *ctmc.CTMC, off, width int) (idx int, err error) {
-		gerr := fault.Guard("core.sweep", w, fmt.Sprintf("points %d-%d", off, off+width-1), func() error {
+		gerr := fault.Guard("pipeline.sweep", w, fmt.Sprintf("points %d-%d", off, off+width-1), func() error {
 			for k := 0; k < width; k++ {
 				faultinject.MaybePanic(faultinject.SiteSweepPoint, off+k)
 			}

@@ -1,4 +1,4 @@
-package core
+package pipeline_test
 
 import (
 	"errors"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/lts"
 	"repro/internal/measure"
 	"repro/internal/models"
+	"repro/internal/pipeline"
 )
 
 // elaborateRPC elaborates the revised rpc model for the given params.
@@ -45,6 +46,12 @@ func quickStreamingParams() models.StreamingParams {
 	p := models.DefaultStreamingParams()
 	p.APCapacity, p.ClientCapacity = 3, 3
 	return p
+}
+
+// modelSession opens a one-shot session on an elaborated model with the
+// default solver — the shape most sweep tests drive.
+func modelSession(m *elab.Model, measures []measure.Measure, cfg pipeline.Config) *pipeline.Session {
+	return pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures}, cfg)
 }
 
 func buildChain(t *testing.T, m *elab.Model) *ctmc.CTMC {
@@ -195,7 +202,7 @@ func TestRebindStructuralErrors(t *testing.T) {
 
 // TestPhase2SweepDeterministicAndFresh checks the sweep engine on the rpc
 // model: reports are bit-identical at 1 and 8 workers, and every point
-// matches an independent per-point Phase2ModelSolve within solver
+// matches an independent per-point Phase2 within solver
 // tolerance (the sweep warm-starts from the anchor, so the iteration
 // trajectory — not the fixed point — differs).
 func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
@@ -209,9 +216,9 @@ func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 		points[i] = []float64{1 / T}
 	}
 
-	var byWorkers [][]*Phase2Report
+	var byWorkers [][]*pipeline.Phase2Report
 	for _, workers := range []int{1, 8} {
-		reps, err := Phase2Sweep(m, measures, points, SweepOptions{Workers: workers})
+		reps, err := modelSession(m, measures, pipeline.Config{Workers: workers}).Sweep(points, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -229,7 +236,7 @@ func TestPhase2SweepDeterministicAndFresh(t *testing.T) {
 	for i, T := range timeouts {
 		p := models.DefaultRPCParams()
 		p.ShutdownTimeout = T
-		fresh, err := Phase2ModelSolve(elaborateRPC(t, p), models.RPCMeasures(p), lts.GenerateOptions{}, ctmc.SolveOptions{})
+		fresh, err := modelSession(elaborateRPC(t, p), models.RPCMeasures(p), pipeline.Config{}).Phase2()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,13 +274,13 @@ func TestPhase2SweepLaneWidths(t *testing.T) {
 			for i, k := range v.knobs {
 				points[i] = []float64{1 / k}
 			}
-			base, err := Phase2Sweep(v.model, v.measures, points, SweepOptions{LaneWidth: 1, Workers: 1})
+			base, err := modelSession(v.model, v.measures, pipeline.Config{Workers: 1, LaneWidth: 1}).Sweep(points, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, laneWidth := range []int{0, 3, 8} {
 				for _, workers := range []int{1, 8} {
-					reps, err := Phase2Sweep(v.model, v.measures, points, SweepOptions{LaneWidth: laneWidth, Workers: workers})
+					reps, err := modelSession(v.model, v.measures, pipeline.Config{Workers: workers, LaneWidth: laneWidth}).Sweep(points, nil)
 					if err != nil {
 						t.Fatalf("lanes=%d workers=%d: %v", laneWidth, workers, err)
 					}
@@ -301,10 +308,7 @@ func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 	m := elaborateRPC(t, pp)
 	points := [][]float64{{1. / 5}, {1. / 2}, {1. / 25}}
 	for _, laneWidth := range []int{1, 8} {
-		_, err := Phase2Sweep(m, models.RPCMeasures(pp), points, SweepOptions{
-			LaneWidth: laneWidth,
-			Solve:     ctmc.SolveOptions{MaxIterations: 2},
-		})
+		_, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: models.RPCMeasures(pp), Solve: ctmc.SolveOptions{MaxIterations: 2}}, pipeline.Config{LaneWidth: laneWidth}).Sweep(points, nil)
 		if !errors.Is(err, ctmc.ErrNoConvergence) {
 			t.Fatalf("lanes=%d: want ErrNoConvergence, got %v", laneWidth, err)
 		}
@@ -327,26 +331,24 @@ func TestPhase2SweepConvergenceErrorPoint(t *testing.T) {
 // TestPhase2SweepRejectsBadInput pins the sweep's input contract.
 func TestPhase2SweepRejectsBadInput(t *testing.T) {
 	plain := elaborateRPC(t, models.DefaultRPCParams())
-	if _, err := Phase2Sweep(plain, nil, [][]float64{{1}}, SweepOptions{}); err == nil {
+	if _, err := modelSession(plain, nil, pipeline.Config{}).Sweep([][]float64{{1}}, nil); err == nil {
 		t.Error("sweeping a slot-free model should fail")
 	}
 
 	pp := models.DefaultRPCParams()
 	pp.ParametricTimeout = true
 	m := elaborateRPC(t, pp)
-	if _, err := Phase2Sweep(m, nil, [][]float64{{1, 2}}, SweepOptions{}); err == nil {
+	if _, err := modelSession(m, nil, pipeline.Config{}).Sweep([][]float64{{1, 2}}, nil); err == nil {
 		t.Error("a point with the wrong arity should fail")
 	}
-	if _, err := Phase2Sweep(m, nil, [][]float64{{1}}, SweepOptions{
-		Solve: ctmc.SolveOptions{WarmStart: []float64{1}},
-	}); err == nil {
+	if _, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: nil, Solve: ctmc.SolveOptions{WarmStart: []float64{1}}}, pipeline.Config{}).Sweep([][]float64{{1}}, nil); err == nil {
 		t.Error("a caller-supplied WarmStart should be rejected")
 	}
-	reps, err := Phase2Sweep(m, nil, nil, SweepOptions{})
+	reps, err := modelSession(m, nil, pipeline.Config{}).Sweep(nil, nil)
 	if err != nil || reps != nil {
 		t.Errorf("empty sweep: got (%v, %v), want (nil, nil)", reps, err)
 	}
-	if _, err := Phase2Sweep(m, []measure.Measure{}, [][]float64{{0}}, SweepOptions{}); err == nil {
+	if _, err := modelSession(m, []measure.Measure{}, pipeline.Config{}).Sweep([][]float64{{0}}, nil); err == nil {
 		t.Error("a structure-changing point should fail")
 	}
 }

@@ -105,7 +105,7 @@ if [ "$sweepjson" = 1 ]; then
         -v go="$(go env GOVERSION)" -v os="$(go env GOOS)/$(go env GOARCH)" \
         -v benchtime="$benchtime, count $count (median reported)" 'BEGIN {
         printf "{\n"
-        printf "  \"description\": \"Per-point cost of a Markovian rate sweep, before vs after the rate-parametric sweep engine. Both benchmarks run the same six-point Fig. 3 shutdown-timeout sweep on the revised rpc model: Fresh runs the full generate+build+solve pipeline per point (the pre-engine behaviour), Rebind generates and builds once, rewrites only the rate values per point (ctmc.Rebind, O(edges)) and warm-starts each solve from the anchor point solution (core.Phase2Sweep). Elaboration is outside the timer on both sides. Equal points per iteration, so the ns/op ratio is the per-point speedup; the rebound chains and the sweep outputs are pinned bit-identical/within solver tolerance by tests, so the delta is pure wall-clock.\",\n"
+        printf "  \"description\": \"Per-point cost of a Markovian rate sweep, before vs after the rate-parametric sweep engine. Both benchmarks run the same six-point Fig. 3 shutdown-timeout sweep on the revised rpc model: Fresh runs the full generate+build+solve pipeline per point (the pre-engine behaviour), Rebind generates and builds once, rewrites only the rate values per point (ctmc.Rebind, O(edges)) and warm-starts each solve from the anchor point solution (pipeline.Session.Sweep). Elaboration is outside the timer on both sides. Equal points per iteration, so the ns/op ratio is the per-point speedup; the rebound chains and the sweep outputs are pinned bit-identical/within solver tolerance by tests, so the delta is pure wall-clock.\",\n"
         printf "  \"environment\": {\n"
         printf "    \"cpu\": \"%s\",\n", cpu
         printf "    \"cores\": %d,\n", cores

@@ -34,15 +34,15 @@ go test -timeout 10m -race ./...
 
 # Fault-injection smoke under the race detector at -cpu 1,2: one injected
 # worker panic and one injected non-convergence per sweep mode (the
-# TestFaultInjection* and TestSweep*Escalat*/Panic*/Cancel* properties in
-# internal/core and internal/ctmc), on both the degenerate and a two-core
-# schedule. The recovery paths — panic capture, lowest-index attribution,
-# escalation, checkpoint replay — are themselves concurrent code and get
-# their race coverage here.
+# TestFaultInjection* and TestPhase2Sweep*Escalat*/Panic*/Cancel*/
+# Checkpoint* properties in internal/pipeline and internal/ctmc), on both
+# the degenerate and a two-core schedule. The recovery paths — panic
+# capture, lowest-index attribution, escalation, checkpoint replay — are
+# themselves concurrent code and get their race coverage here.
 echo "== fault-injection smoke (-race -cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
     -run 'FaultInject|Panic|Escalat|Cancel|Checkpoint' \
-    ./internal/core/ ./internal/ctmc/ ./internal/lts/ ./internal/sim/ ./internal/faultinject/ ./internal/fault/
+    ./internal/pipeline/ ./internal/ctmc/ ./internal/lts/ ./internal/sim/ ./internal/faultinject/ ./internal/fault/
 
 # Session-sharing smoke under the race detector at -cpu 1,2: concurrent
 # goroutines open handles on one shared spec key and solve through the
