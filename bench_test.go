@@ -184,13 +184,19 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkWeakBisim measures the weak-bisimulation check behind the
-// streaming noninterference analysis (tau-SCC condensation + signature
-// refinement).
-func BenchmarkWeakBisim(b *testing.B) {
+// weakCheckStates, when set, returns the number of states the weak check
+// of a pair ran on, reported as quotient-states/op. It is set by
+// bench_quotient_test.go; scripts/bench_compare.sh -W runs this file
+// against a baseline ref without it, so both sides time identical code.
+var weakCheckStates func(l1, l2 *lts.LTS) int
+
+// benchWeakBisim measures the weak-bisimulation check behind the streaming
+// noninterference analysis at the given buffer capacity: the hidden
+// variant against the restricted one, generation outside the timer.
+func benchWeakBisim(b *testing.B, capacity int64) {
 	p := models.DefaultStreamingParams()
 	p.Mode = models.Functional
-	p.APCapacity, p.ClientCapacity = 2, 2
+	p.APCapacity, p.ClientCapacity = capacity, capacity
 	a, err := models.BuildStreaming(p)
 	if err != nil {
 		b.Fatal(err)
@@ -215,7 +221,21 @@ func BenchmarkWeakBisim(b *testing.B) {
 			b.Fatal("expected equivalence")
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(hidden.NumStates+restricted.NumStates), "states/op")
+	if weakCheckStates != nil {
+		b.ReportMetric(float64(weakCheckStates(hidden, restricted)), "quotient-states/op")
+	}
 }
+
+// BenchmarkWeakBisim measures the weak check of the Quick-scale streaming
+// pair (buffer capacity 2).
+func BenchmarkWeakBisim(b *testing.B) { benchWeakBisim(b, 2) }
+
+// BenchmarkWeakBisimFull measures the weak check of the paper's
+// Sect. 3.2 streaming pair (buffer capacity 10: 38016 hidden and 6912
+// restricted states).
+func BenchmarkWeakBisimFull(b *testing.B) { benchWeakBisim(b, 10) }
 
 // BenchmarkCTMCSolve measures chain extraction plus steady-state solution
 // on the Markovian rpc model.

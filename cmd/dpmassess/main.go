@@ -555,6 +555,7 @@ func runCheck(args []string) error {
 	fmt.Printf("states:            %d\n", l.NumStates)
 	fmt.Printf("hidden variant:    %d states\n", res.HiddenStates)
 	fmt.Printf("restricted variant: %d states\n", res.RestrictedStates)
+	fmt.Printf("quotient:          %d states (branching bisimulation, both variants)\n", res.QuotientStates)
 	if res.Transparent {
 		fmt.Println("verdict: NONINTERFERENCE HOLDS (the high component is transparent)")
 		return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,6 +77,53 @@ func TestRunCheckSolveSim(t *testing.T) {
 	// Simulation always walks the full model, so sim has no -compose flag.
 	if err := run([]string{"sim", "-compose", "minimize", "-measures", measures, model}); err == nil {
 		t.Error("sim accepted -compose")
+	}
+}
+
+// captureStdout runs fn with standard output redirected and returns what
+// it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	runErr := fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(out)
+}
+
+// The check reports the size of the branching quotient the weak check ran
+// on: the simplified rpc model's 16 hidden and 8 restricted states reduce
+// to 8.
+func TestRunCheckReportsQuotient(t *testing.T) {
+	model := specPath(t, "rpc_simplified.aem")
+	out := captureStdout(t, func() error {
+		return run([]string{"check",
+			"-high-labels", "DPM.send_shutdown#S.receive_shutdown",
+			"-low", "C", model})
+	})
+	for _, want := range []string{
+		"hidden variant:    16 states\n",
+		"restricted variant: 8 states\n",
+		"quotient:          8 states (branching bisimulation, both variants)\n",
+		"verdict: INTERFERENCE DETECTED\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("check output missing %q:\n%s", want, out)
+		}
 	}
 }
 

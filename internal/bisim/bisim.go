@@ -3,12 +3,21 @@
 // generation of distinguishing Hennessy–Milner formulas when two systems
 // are not equivalent.
 //
-// Weak bisimilarity is decided as strong bisimilarity of the saturated
-// systems (tau*·a·tau* weak moves, reflexive tau* moves), following
-// Milner. The partition is computed by signature refinement: states are
-// repeatedly split by the multiset of (label, target block) pairs they can
-// weakly reach, with the previous block included in the signature so that
-// each round refines the last. The refinement history supports
+// Weak bisimilarity is decided in two steps. First the system is reduced
+// to its divergence-blind branching-bisimulation quotient (Groote–
+// Vaandrager), computed by signature refinement over the tau-SCC
+// condensation without saturating anything (branching.go). Branching
+// bisimilarity is contained in weak bisimilarity, so every state is
+// weakly bisimilar to its quotient state. Then weak bisimilarity is
+// decided on the quotient as strong bisimilarity of the saturated system
+// (tau*·a·tau* weak moves, reflexive tau* moves), following Milner.
+// On the paper's streaming check the quotient has 33 states where the
+// union has 44928.
+//
+// Both partitions are computed by signature refinement: states are
+// repeatedly split by the set of (label, target block) pairs they can
+// reach, with the previous block included in the key so that each round
+// refines the last. The refinement history of the final step supports
 // Cleaveland-style construction of a minimal-depth distinguishing formula.
 //
 // The saturated successor structure is stored in grouped CSR form — per
@@ -18,6 +27,8 @@
 package bisim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -241,40 +252,7 @@ func saturate(l *lts.LTS, rel Relation) *sat {
 	// weakly bisimilar, and condensation makes the tau graph acyclic,
 	// which keeps the saturated structure tractable.
 	comp, nc := tauSCCs(l)
-
-	// Condensed edge list, sorted and deduplicated.
-	type cedge struct{ src, label, dst int32 }
-	var edges []cedge
-	for st := 0; st < l.NumStates; st++ {
-		sp := l.Out(st)
-		cs := comp[st]
-		for k := 0; k < sp.Len(); k++ {
-			cd := comp[sp.Dst[k]]
-			if sp.Label[k] == lts.TauIndex && cs == cd {
-				continue
-			}
-			edges = append(edges, cedge{src: cs, label: sp.Label[k], dst: cd})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.label != b.label {
-			return a.label < b.label
-		}
-		return a.dst < b.dst
-	})
-	edges = dedupEdges(edges)
-	// Row index over the condensed edges.
-	rowOff := make([]int32, nc+1)
-	for _, e := range edges {
-		rowOff[e.src+1]++
-	}
-	for c := 1; c <= nc; c++ {
-		rowOff[c] += rowOff[c-1]
-	}
+	rowOff, edges := condense(l, comp, nc)
 
 	// Reflexive-transitive tau closure over the condensation, stored in a
 	// single slab. Tarjan assigns component ids in reverse topological
@@ -391,6 +369,47 @@ func dedupEdges[E comparable](edges []E) []E {
 	return out
 }
 
+// cedge is one edge of the tau-SCC condensation.
+type cedge struct{ src, label, dst int32 }
+
+// compareCedge orders condensed edges by (src, label, dst).
+func compareCedge(a, b cedge) int {
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.label, b.label); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.dst, b.dst)
+}
+
+// condense lifts the edges of l onto its tau-SCC condensation (comp, nc
+// from tauSCCs): sorted by (src, label, dst), deduplicated, without the
+// tau edges inside a component. rowOff indexes the edges of each node.
+func condense(l *lts.LTS, comp []int32, nc int) (rowOff []int32, edges []cedge) {
+	for st := 0; st < l.NumStates; st++ {
+		sp := l.Out(st)
+		cs := comp[st]
+		for k := 0; k < sp.Len(); k++ {
+			cd := comp[sp.Dst[k]]
+			if sp.Label[k] == lts.TauIndex && cs == cd {
+				continue
+			}
+			edges = append(edges, cedge{src: cs, label: sp.Label[k], dst: cd})
+		}
+	}
+	slices.SortFunc(edges, compareCedge)
+	edges = dedupEdges(edges)
+	rowOff = make([]int32, nc+1)
+	for _, e := range edges {
+		rowOff[e.src+1]++
+	}
+	for c := 1; c <= nc; c++ {
+		rowOff[c] += rowOff[c-1]
+	}
+	return rowOff, edges
+}
+
 // refineResult carries the partition and its refinement history.
 type refineResult struct {
 	s *sat
@@ -469,15 +488,77 @@ func refine(s *sat) *refineResult {
 
 // Partition computes the bisimulation partition of a single LTS: the block
 // identifier of each state. Two states are equivalent iff they share a
-// block.
+// block. Blocks are numbered in order of their smallest tau-SCC id (for
+// Strong, their smallest state).
 func Partition(l *lts.LTS, rel Relation) []int {
-	s := saturate(l, rel)
+	if rel == Strong {
+		return refine(saturate(l, Strong)).blocks()
+	}
+	br := reduceBranching(l)
+	s := saturate(br.q, Weak)
 	blocks := refine(s).blocks()
+	// Renumber the weak blocks of the quotient by first appearance over
+	// ascending condensation node, the order refine assigns on the
+	// unreduced condensation.
+	renum := make([]int, len(blocks))
+	for i := range renum {
+		renum[i] = -1
+	}
+	ids := make([]int, len(br.block))
+	next := 0
+	for c, qs := range br.block {
+		b := blocks[s.stateMap[qs]]
+		if renum[b] < 0 {
+			renum[b] = next
+			next++
+		}
+		ids[c] = renum[b]
+	}
 	out := make([]int, l.NumStates)
 	for st := range out {
-		out[st] = blocks[s.stateMap[st]]
+		out[st] = ids[br.comp[st]]
 	}
 	return out
+}
+
+// Verdict is the outcome of an equivalence check.
+type Verdict struct {
+	// Equivalent is true when the initial states are bisimilar.
+	Equivalent bool
+	// Formula distinguishes the systems when they are not equivalent: it
+	// holds in the initial state of the first and fails in the second.
+	Formula hml.Formula
+	// States is the number of states the partition refinement ran on:
+	// the disjoint union of the two systems for Strong, its
+	// branching-bisimulation quotient for Weak.
+	States int
+}
+
+// Compare checks whether the initial states of two LTSs are bisimilar
+// under the chosen relation. Labels are matched by name.
+//
+// Weak is decided on the branching-bisimulation quotient of the union.
+// Each state is weakly bisimilar to its quotient state, so the verdict is
+// that of the unreduced union, and a weak-modality formula that separates
+// the quotient states also separates the original initial states.
+func Compare(l1, l2 *lts.LTS, rel Relation) Verdict {
+	u, init1, init2 := union(l1, l2)
+	if rel == Weak {
+		br := reduceBranching(u)
+		u, init1, init2 = br.q, br.stateOf(init1), br.stateOf(init2)
+	}
+	s := saturate(u, rel)
+	res := refine(s)
+	blocks := res.blocks()
+	v := Verdict{States: u.NumStates}
+	n1, n2 := s.stateMap[init1], s.stateMap[init2]
+	if blocks[n1] == blocks[n2] {
+		v.Equivalent = true
+		return v
+	}
+	g := &formulaGen{res: res, rel: rel}
+	v.Formula = g.dist(n1, n2)
+	return v
 }
 
 // Equivalent checks whether the initial states of two LTSs are bisimilar
@@ -485,17 +566,8 @@ func Partition(l *lts.LTS, rel Relation) []int {
 // are not equivalent, a distinguishing formula is returned: it holds in
 // the initial state of l1 and fails in the initial state of l2.
 func Equivalent(l1, l2 *lts.LTS, rel Relation) (bool, hml.Formula) {
-	u, init1, init2 := union(l1, l2)
-	s := saturate(u, rel)
-	res := refine(s)
-	blocks := res.blocks()
-	n1, n2 := s.stateMap[init1], s.stateMap[init2]
-	if blocks[n1] == blocks[n2] {
-		return true, nil
-	}
-	g := &formulaGen{res: res, rel: rel}
-	f := g.dist(n1, n2)
-	return false, f
+	v := Compare(l1, l2, rel)
+	return v.Equivalent, v.Formula
 }
 
 // union builds the disjoint union of two LTSs. Systems from the same

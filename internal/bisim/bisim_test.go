@@ -146,20 +146,18 @@ func TestMinimizeWeakDropsTauLoops(t *testing.T) {
 	}
 }
 
-// randomLTS builds a pseudo-random LTS for property testing.
-func randomLTS(r *rand.Rand, n int) *lts.LTS {
-	labels := []string{"a", "b", "tau"}
+// randomLTS builds a pseudo-random LTS for property testing: n states,
+// each with zero to three outgoing transitions (so deadlocks occur),
+// labelled tau with probability tau and a, b or c otherwise. Destinations
+// are uniform, so tau self-loops and tau cycles occur at every density.
+func randomLTS(r *rand.Rand, n int, tau float64) *lts.LTS {
 	l := lts.New(n)
-	l.Initial = 0
-	// Ensure every state has at least one outgoing edge to keep things
-	// interesting, plus a few extra random edges.
+	labels := []int{l.LabelIndex("a"), l.LabelIndex("b"), l.LabelIndex("c")}
 	for s := 0; s < n; s++ {
-		k := 1 + r.Intn(2)
-		for range k {
-			label := labels[r.Intn(len(labels))]
+		for range r.Intn(4) {
 			li := lts.TauIndex
-			if label != lts.TauName {
-				li = l.LabelIndex(label)
+			if r.Float64() >= tau {
+				li = labels[r.Intn(len(labels))]
 			}
 			l.AddTransition(s, r.Intn(n), li, rates.UntimedRate())
 		}
@@ -173,7 +171,7 @@ func TestPropertyMinimizeSound(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + r.Intn(8)
-		l := randomLTS(r, n)
+		l := randomLTS(r, n, 1.0/3)
 		for _, rel := range []Relation{Strong, Weak} {
 			if ok, f := Equivalent(l, l, rel); !ok {
 				t.Fatalf("trial %d: LTS not %v-equivalent to itself: %s",
@@ -197,8 +195,8 @@ func TestPropertyDistinguishingFormulaValid(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	checked := 0
 	for trial := 0; trial < 60; trial++ {
-		l1 := randomLTS(r, 2+r.Intn(6))
-		l2 := randomLTS(r, 2+r.Intn(6))
+		l1 := randomLTS(r, 2+r.Intn(6), 1.0/3)
+		l2 := randomLTS(r, 2+r.Intn(6), 1.0/3)
 		for _, rel := range []Relation{Strong, Weak} {
 			ok, f := Equivalent(l1, l2, rel)
 			if ok {
@@ -229,8 +227,8 @@ func TestPropertyDistinguishingFormulaValid(t *testing.T) {
 func TestPropertyStrongImpliesWeak(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {
-		l1 := randomLTS(r, 2+r.Intn(6))
-		l2 := randomLTS(r, 2+r.Intn(6))
+		l1 := randomLTS(r, 2+r.Intn(6), 1.0/3)
+		l2 := randomLTS(r, 2+r.Intn(6), 1.0/3)
 		strongOK, _ := Equivalent(l1, l2, Strong)
 		if !strongOK {
 			continue

@@ -44,6 +44,21 @@ func TestSect3Results(t *testing.T) {
 	}
 }
 
+// TestStreamingNoninterferenceFull runs the Sect. 3.2 check at the paper's
+// buffer capacity of 10.
+func TestStreamingNoninterferenceFull(t *testing.T) {
+	res, err := newRunner().StreamingNoninterference(Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Transparent {
+		t.Errorf("streaming must pass; formula: %s", res.Formula)
+	}
+	if res.States != 38016 {
+		t.Errorf("states = %d, want 38016", res.States)
+	}
+}
+
 func TestFig3MarkovShapes(t *testing.T) {
 	pts, err := newRunner().Fig3Markov([]float64{0.5, 5, 25})
 	if err != nil {

@@ -19,7 +19,9 @@
 // they share its label symbol table, so the equivalence check compares
 // label indices directly without matching names.
 //
-// The two variants are compared up to weak bisimulation. When the check
+// The two variants are compared up to weak bisimulation, decided on the
+// branching-bisimulation quotient of their disjoint union (bisim.Compare);
+// Result.QuotientStates reports its size. When the check
 // fails, the returned distinguishing modal-logic formula — over low labels
 // and weak modalities — holds in variant A and fails in variant B; it is
 // the diagnostic the designer uses to repair the model (paper Sect. 3.1).
@@ -57,6 +59,10 @@ type Result struct {
 	// HiddenStates and RestrictedStates are the sizes of the two compared
 	// state spaces, for reporting.
 	HiddenStates, RestrictedStates int
+	// QuotientStates is the number of states the weak-bisimulation check
+	// ran on: the branching-bisimulation quotient of the two variants'
+	// disjoint union.
+	QuotientStates int
 }
 
 // Check runs the noninterference analysis on an explicit LTS.
@@ -73,15 +79,16 @@ func Check(l *lts.LTS, spec Spec) (*Result, error) {
 
 	hidden := lts.Hide(l, notLow)
 	restricted := lts.Hide(lts.Restrict(l, spec.High), notLow)
-	ok, f := bisim.Equivalent(hidden, restricted, bisim.Weak)
+	v := bisim.Compare(hidden, restricted, bisim.Weak)
 	res := &Result{
-		Transparent:      ok,
+		Transparent:      v.Equivalent,
 		HiddenStates:     hidden.NumStates,
 		RestrictedStates: restricted.NumStates,
+		QuotientStates:   v.States,
 	}
-	if !ok {
-		res.Formula = f
-		res.FormulaText = hml.Format(f)
+	if !v.Equivalent {
+		res.Formula = v.Formula
+		res.FormulaText = hml.Format(v.Formula)
 	}
 	return res, nil
 }

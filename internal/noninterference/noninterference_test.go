@@ -115,6 +115,10 @@ func TestInterferenceDetected(t *testing.T) {
 	if res.HiddenStates == 0 || res.RestrictedStates == 0 {
 		t.Error("state counts not reported")
 	}
+	if res.QuotientStates == 0 || res.QuotientStates > res.HiddenStates+res.RestrictedStates {
+		t.Errorf("quotient states = %d, outside 1..%d",
+			res.QuotientStates, res.HiddenStates+res.RestrictedStates)
+	}
 }
 
 func TestInterferenceFormulaIsValidWitness(t *testing.T) {
@@ -153,6 +157,12 @@ func TestTransparentSystemPasses(t *testing.T) {
 	}
 	if res.Formula != nil {
 		t.Error("transparent result should carry no formula")
+	}
+	// Both variants reduce to the client's req/res cycle: two quotient
+	// states for the whole union.
+	if res.QuotientStates != 2 {
+		t.Errorf("quotient states = %d, want 2 (hidden %d, restricted %d)",
+			res.QuotientStates, res.HiddenStates, res.RestrictedStates)
 	}
 }
 

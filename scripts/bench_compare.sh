@@ -4,7 +4,7 @@
 # (raw outputs are printed otherwise; nothing is downloaded).
 #
 # Usage:
-#   scripts/bench_compare.sh [-r ref] [-c count] [-p pattern] [-s] [-S] [-B] [-M] [-P] [-C]
+#   scripts/bench_compare.sh [-r ref] [-c count] [-p pattern] [-s] [-S] [-B] [-M] [-P] [-C] [-W]
 #
 #   -r ref      baseline git ref to compare against (default: no baseline,
 #               bench the working tree only)
@@ -49,6 +49,16 @@
 #               ResultCache) and write results/BENCH_pipeline.json with
 #               the median ns/op of each variant and the warm and
 #               cache-hit speedups over cold per model.
+#   -W          weak-bisimulation mode (requires -r): time BenchmarkWeakBisim
+#               (the Quick-scale streaming noninterference pair, buffer
+#               capacity 2) and BenchmarkWeakBisimFull (the paper's
+#               Sect. 3.2 pair, capacity 10) on the working tree and on
+#               the baseline ref, and write results/BENCH_weakbisim.json
+#               with the median ns/op, B/op and allocs/op of each side,
+#               the input and quotient state counts, and the speedup and
+#               allocation reduction. The ref is exported with git archive
+#               and runs the working tree's bench_test.go, so both sides
+#               time identical benchmark code.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -61,7 +71,8 @@ batchjson=0
 mljson=0
 pipejson=0
 compjson=0
-while getopts "r:c:p:sSBMPC" opt; do
+weakjson=0
+while getopts "r:c:p:sSBMPCW" opt; do
     case "$opt" in
     r) ref=$OPTARG ;;
     c) count=$OPTARG ;;
@@ -72,7 +83,8 @@ while getopts "r:c:p:sSBMPC" opt; do
     M) mljson=1 ;;
     P) pipejson=1 ;;
     C) compjson=1 ;;
-    *) echo "usage: $0 [-r ref] [-c count] [-p pattern] [-s] [-S] [-B] [-M] [-P] [-C]" >&2; exit 2 ;;
+    W) weakjson=1 ;;
+    *) echo "usage: $0 [-r ref] [-c count] [-p pattern] [-s] [-S] [-B] [-M] [-P] [-C] [-W]" >&2; exit 2 ;;
     esac
 done
 
@@ -421,6 +433,85 @@ if [ "$compjson" = 1 ]; then
     } > results/BENCH_compose.json
     echo "== results/BENCH_compose.json =="
     cat results/BENCH_compose.json
+    exit 0
+fi
+
+if [ "$weakjson" = 1 ]; then
+    if [ -z "$ref" ]; then
+        echo "-W needs a baseline: -r ref" >&2
+        exit 2
+    fi
+    new_out=$(mktemp)
+    old_out=$(mktemp)
+    base=$(mktemp -d)
+    trap 'rm -rf "$new_out" "$old_out" "$base"' EXIT
+    benchtime=3x
+    # -timeout 60m: before the branching quotient one Full check took ~9 s,
+    # and a side runs it benchtime+1 times per count.
+    wbench() {
+        go test -run '^$' -bench '^BenchmarkWeakBisim(Full)?$' -benchmem \
+            -benchtime "$benchtime" -count "$count" -timeout 60m .
+    }
+    echo "== bench: weak bisimulation, working tree (benchtime $benchtime, count $count) =="
+    wbench | tee "$new_out"
+    git archive "$ref" | tar -x -C "$base"
+    cp bench_test.go "$base/bench_test.go"
+    echo "== bench: weak bisimulation, $ref =="
+    (cd "$base" && wbench) | tee "$old_out"
+    # metric prints the median of the value preceding unit on the rows of
+    # one benchmark (its -N GOMAXPROCS suffix stripped).
+    metric() {
+        awk -v name="Benchmark$2" -v unit="$3" '{ sub(/-[0-9]+$/, "", $1) }
+            $1 == name { for (i = 3; i <= NF; i++) if ($i == unit) print $(i-1) }' "$1" |
+            sort -g | awk '{v[NR]=$1} END {
+                if (NR == 0) { print "error: no samples" > "/dev/stderr"; exit 1 }
+                print v[int((NR+1)/2)]
+            }'
+    }
+    emit_pair() {
+        awk -v new_ns="$(metric "$new_out" "$1" ns/op)" \
+            -v old_ns="$(metric "$old_out" "$1" ns/op)" \
+            -v new_b="$(metric "$new_out" "$1" B/op)" \
+            -v old_b="$(metric "$old_out" "$1" B/op)" \
+            -v new_a="$(metric "$new_out" "$1" allocs/op)" \
+            -v old_a="$(metric "$old_out" "$1" allocs/op)" \
+            -v states="$(metric "$new_out" "$1" states/op)" \
+            -v qstates="$(metric "$new_out" "$1" quotient-states/op)" 'BEGIN {
+            printf "    \"states\": %d,\n", states
+            printf "    \"quotient_states\": %d,\n", qstates
+            printf "    \"baseline\": { \"ns_per_op\": %.0f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.0f },\n", old_ns, old_b, old_a
+            printf "    \"change\": { \"ns_per_op\": %.0f, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.0f },\n", new_ns, new_b, new_a
+            printf "    \"speedup\": %.1f,\n", old_ns / new_ns
+            printf "    \"alloc_reduction\": %.1f\n", old_b / new_b
+        }'
+    }
+    cpu=$(awk -F': ' '/^cpu:/ {print $2; exit}' "$new_out")
+    mkdir -p results
+    {
+        awk -v cpu="$cpu" -v cores="$(getconf _NPROCESSORS_ONLN)" \
+            -v go="$(go env GOVERSION)" -v os="$(go env GOOS)/$(go env GOARCH)" \
+            -v ref="$ref" -v refsha="$(git rev-parse --short "$ref")" \
+            -v benchtime="$benchtime, count $count (median reported)" 'BEGIN {
+            printf "{\n"
+            printf "  \"description\": \"Cost of one weak-bisimulation check of the streaming noninterference analysis (paper Sect. 3.2): the model with the DPM hidden against the model with the DPM prevented, state-space generation outside the timer. baseline saturates and refines the tau-SCC condensation of the disjoint union of the two variants; change first reduces the union to its branching-bisimulation quotient and saturates and refines that. states counts the states of the two input variants, quotient_states the states the change refines. Both sides run the same benchmark code and reach the same verdict.\",\n"
+            printf "  \"environment\": {\n"
+            printf "    \"cpu\": \"%s\",\n", cpu
+            printf "    \"cores\": %d,\n", cores
+            printf "    \"go\": \"%s\",\n", go
+            printf "    \"os\": \"%s\"\n", os
+            printf "  },\n"
+            printf "  \"benchtime\": \"%s\",\n", benchtime
+            printf "  \"baseline_ref\": \"%s (%s)\",\n", ref, refsha
+            printf "  \"quick\": {\n"
+            printf "    \"model\": \"streaming functional, buffer capacity 2\",\n"
+        }'
+        emit_pair WeakBisim
+        printf '  },\n  "full": {\n    "model": "streaming functional, buffer capacity 10 (the paper setting)",\n'
+        emit_pair WeakBisimFull
+        printf '  }\n}\n'
+    } > results/BENCH_weakbisim.json
+    echo "== results/BENCH_weakbisim.json =="
+    cat results/BENCH_weakbisim.json
     exit 0
 fi
 
