@@ -6,7 +6,7 @@
 //	dpmassess lts      [-dot out.dot] [-max N] [-compose full|minimize] [-stats]
 //	                   [-workers N] model.aem
 //	dpmassess check    -high INST -low INST [-high-labels l1,l2] [-workers N] model.aem
-//	dpmassess solve    -measures spec.msr [-sweep auto|gauss-seidel|jacobi|multilevel]
+//	dpmassess solve    -measures spec.msr [-sweep auto|gauss-seidel|multilevel]
 //	                   [-compose full|minimize] [-stats] [-lanes K]
 //	                   [-checkpoint file.ckpt] [-resume] [-workers N] model.aem
 //	dpmassess sim      -measures spec.msr [-runlength T] [-warmup T]
@@ -16,8 +16,8 @@
 //	dpmassess mc       -formula 'EXISTS_WEAK_TRANS(...)' [-hide-except INST] [-workers N] model.aem
 //
 // Every subcommand that explores a state space takes -workers: it bounds
-// the generation worker pool (and, for solve, the steady-state solver
-// pool). Outputs are bit-identical at any worker count. Every subcommand
+// the generation worker pool. Outputs are bit-identical at any worker
+// count. Every subcommand
 // also takes -timeout: an overall deadline after which generation, solves
 // and simulations are canceled promptly (reported as a cancellation error
 // naming the phase that observed it).
@@ -258,8 +258,8 @@ func runMinimize(args []string) error {
 	return nil
 }
 
-// workersFlag registers the shared -workers flag: the generation (and,
-// where applicable, solver) worker-pool bound.
+// workersFlag registers the shared -workers flag: the generation
+// worker-pool bound.
 func workersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", runtime.NumCPU(),
 		"state-space generation workers (outputs are identical at any value)")
@@ -578,14 +578,14 @@ func runSolve(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	measuresPath := fs.String("measures", "", "measure definition file (companion language)")
 	sweepName := fs.String("sweep", "auto",
-		"steady-state sweep mode: auto, gauss-seidel, jacobi, or multilevel\n"+
+		"steady-state sweep mode: auto, gauss-seidel, or multilevel\n"+
 			"(two-level aggregation/disaggregation for slow-mixing chains)")
 	composeMode := composeFlag(fs)
 	stats := fs.Bool("stats", false,
 		"print statistics after the measures: resident memory of the state\n"+
 			"space, the per-component reduction (with -compose minimize), and the\n"+
 			"solver trace — the scheme that actually ran, iterations (and\n"+
-			"multilevel cycles), final residual, and every escalation attempt")
+			"multilevel cycles), final residual, and auto's multilevel retry")
 	lanes := fs.Int("lanes", 0,
 		"sweep points solved per batched steady-state call on checkpointed solves:\n"+
 			"0 auto-selects, 1 forces the per-point solver (results are identical at\n"+
@@ -625,8 +625,6 @@ func runSolve(args []string) error {
 		sweep = ctmc.SweepAuto
 	case "gauss-seidel":
 		sweep = ctmc.SweepGaussSeidel
-	case "jacobi":
-		sweep = ctmc.SweepJacobi
 	case "multilevel":
 		sweep = ctmc.SweepMultilevel
 	default:
@@ -652,7 +650,7 @@ func runSolve(args []string) error {
 		Measures: ms,
 		Gen:      lts.GenerateOptions{GenWorkers: *workers, Ctx: ctx},
 		Minimize: minimize,
-		Solve:    ctmc.SolveOptions{Sweep: sweep, Workers: *workers, Ctx: ctx},
+		Solve:    ctmc.SolveOptions{Sweep: sweep, Ctx: ctx},
 	}, pipeline.Config{Workers: *workers, LaneWidth: *lanes, Ctx: ctx})
 	var rep *pipeline.Phase2Report
 	if *ckptPath != "" {
@@ -700,14 +698,14 @@ func runSolve(args []string) error {
 // printSolveTrace renders a report's solver trace, one line per attempt:
 // the scheme that actually ran (auto upgrades included), its iteration
 // budget and outcome, and — for multilevel attempts — the outer cycle
-// count. Checkpointed solves record traces only for escalated points, so
-// a missing trace is reported rather than silently skipped.
+// count. Checkpointed solves run through the sweep driver, which records
+// no trace, so a missing trace is reported rather than silently skipped.
 func printSolveTrace(tr *ctmc.SolveTrace) {
 	if tr == nil || len(tr.Attempts) == 0 {
-		fmt.Println("solver: no trace recorded (checkpointed solves trace only escalated points)")
+		fmt.Println("solver: no trace recorded (checkpointed solves record none)")
 		return
 	}
-	fmt.Printf("solver: %d attempt(s), escalated=%t\n", len(tr.Attempts), tr.Escalated())
+	fmt.Printf("solver: %d attempt(s)\n", len(tr.Attempts))
 	for _, a := range tr.Attempts {
 		line := fmt.Sprintf("solver:   rung %d %-21s sweep=%-12s iterations=%d",
 			a.Rung, a.Action, a.Sweep, a.Iterations)

@@ -80,6 +80,32 @@ func TestRunCheckSolveSim(t *testing.T) {
 	}
 }
 
+// solve accepts exactly the three sweep modes the solver runs; the
+// retired jacobi is a usage error, and -stats prints the scheme each
+// accepted mode actually ran.
+func TestRunSolveSweepModes(t *testing.T) {
+	model := specPath(t, "rpc_revised_markov.aem")
+	measures := specPath(t, "rpc.msr")
+	for _, mode := range []string{"jacobi", "nope"} {
+		err := run([]string{"solve", "-sweep", mode, "-measures", measures, model})
+		if err == nil || !strings.Contains(err.Error(), "unknown sweep mode") {
+			t.Errorf("-sweep %s: got %v, want an unknown-sweep-mode error", mode, err)
+		}
+	}
+	for mode, ran := range map[string]string{
+		"auto":         "sweep=gauss-seidel",
+		"gauss-seidel": "sweep=gauss-seidel",
+		"multilevel":   "sweep=multilevel",
+	} {
+		out := captureStdout(t, func() error {
+			return run([]string{"solve", "-sweep", mode, "-stats", "-measures", measures, model})
+		})
+		if !strings.Contains(out, "solver: 1 attempt(s)\n") || !strings.Contains(out, ran) {
+			t.Errorf("-sweep %s: -stats output lacks the attempt count or %q:\n%s", mode, ran, out)
+		}
+	}
+}
+
 // captureStdout runs fn with standard output redirected and returns what
 // it printed.
 func captureStdout(t *testing.T, fn func() error) string {

@@ -5,6 +5,7 @@ package ctmc_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -120,11 +121,8 @@ func requireBitIdentical(t *testing.T, name string, want, got [][]float64) {
 
 // TestSolveBatchBitIdentity pins the tentpole contract on both paper
 // chains: the batched solve equals the sequential Rebind+SteadyState chain
-// bit for bit, at lane widths 1, 3, and 8, worker counts 1, 2, and 8,
-// under both forced sweeps, cold and warm-started. Workers=2 matters
-// beyond parity: the streaming chain spans five Jacobi tiles, so it
-// schedules fewer pool workers than tiles (a config that once deadlocked
-// on unbuffered pool channels), while 8 covers workers > tiles.
+// bit for bit, at lane widths 1, 3, and 8, under the forced Gauss-Seidel
+// sweep, cold and warm-started.
 func TestSolveBatchBitIdentity(t *testing.T) {
 	chains := map[string]struct {
 		c      *ctmc.CTMC
@@ -134,76 +132,105 @@ func TestSolveBatchBitIdentity(t *testing.T) {
 		"streaming": {streamingParamChain(t), streamingPoints()},
 	}
 	for name, tc := range chains {
-		for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepJacobi} {
-			for _, workers := range []int{1, 2, 8} {
-				opts := ctmc.SolveOptions{Sweep: sweep, Workers: workers}
-				want := solveSequential(t, tc.c, tc.points, opts)
-				// Warm-started: every point seeded from the first point's
-				// solution, the sweep-anchor rule.
-				warm := opts
-				warm.WarmStart = want[0]
-				wantWarm := solveSequential(t, tc.c, tc.points, warm)
-				for _, width := range []int{1, 3, 8} {
-					got := batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: opts})
-					requireBitIdentical(t, name+"/cold", want, got)
-					got = batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: warm})
-					requireBitIdentical(t, name+"/warm", wantWarm, got)
-				}
-			}
+		opts := ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel}
+		want := solveSequential(t, tc.c, tc.points, opts)
+		// Warm-started: every point seeded from the first point's
+		// solution, the sweep-anchor rule.
+		warm := opts
+		warm.WarmStart = want[0]
+		wantWarm := solveSequential(t, tc.c, tc.points, warm)
+		for _, width := range []int{1, 3, 8} {
+			got := batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: opts})
+			requireBitIdentical(t, name+"/cold", want, got)
+			got = batchInWidths(t, tc.c, tc.points, width, ctmc.BatchOptions{Solve: warm})
+			requireBitIdentical(t, name+"/warm", wantWarm, got)
 		}
 	}
 }
 
 // TestSolveBatchMatchesAutoOutcome pins the auto-mode parity, including
-// the Gauss-Seidel fallback of Jacobi-failed lanes: whatever a solo auto
-// solve produces at a given iteration bound — a converged vector or a
-// typed failure — the batch must reproduce, lane for lane.
+// the multilevel retry of lanes whose Gauss-Seidel solve exhausted its
+// budget: whatever a solo auto solve produces at a given iteration bound —
+// a converged vector or a typed failure — the batch must reproduce, lane
+// for lane. The rpc component (48 states) sits below the auto rule's
+// 64-state floor, so only the streaming chain (168 states) reaches the
+// retry; at 100 iterations its lanes split three ways: Gauss-Seidel
+// converges, the retry converges, or both fail.
 func TestSolveBatchMatchesAutoOutcome(t *testing.T) {
-	c := rpcParamChain(t)
-	points := rpcPoints()
-	for _, maxIter := range []int{3, 40, 400, 0} {
-		// Threshold 2 with two workers sends auto through Jacobi first on
-		// every multi-state component; small bounds force the fallback (and
-		// below that, a shared failure).
-		opts := ctmc.SolveOptions{JacobiThreshold: 2, Workers: 2, MaxIterations: maxIter}
-		chain := c.Clone()
-		want := make([][]float64, len(points))
-		wantErr := make([]error, len(points))
-		for i, pt := range points {
-			if err := chain.Rebind(pt); err != nil {
-				t.Fatal(err)
+	chains := []struct {
+		name   string
+		c      *ctmc.CTMC
+		points [][]float64
+		iters  []int
+	}{
+		{"rpc", rpcParamChain(t), rpcPoints(), []int{3, 40, 400, 0}},
+		{"streaming", streamingParamChain(t), streamingPoints(), []int{3, 80, 100, 0}},
+	}
+	for _, tc := range chains {
+		c, points := tc.c, tc.points
+		for _, maxIter := range tc.iters {
+			tag := fmt.Sprintf("%s maxIter=%d", tc.name, maxIter)
+			opts := ctmc.SolveOptions{MaxIterations: maxIter}
+			chain := c.Clone()
+			want := make([][]float64, len(points))
+			wantErr := make([]error, len(points))
+			for i, pt := range points {
+				if err := chain.Rebind(pt); err != nil {
+					t.Fatal(err)
+				}
+				want[i], wantErr[i] = chain.SteadyState(opts)
 			}
-			want[i], wantErr[i] = chain.SteadyState(opts)
-		}
-		got, err := c.SolveBatch(points, ctmc.BatchOptions{Solve: opts})
-		firstFail := -1
-		for i, e := range wantErr {
-			if e != nil {
-				firstFail = i
-				break
-			}
-		}
-		if firstFail < 0 {
+			lanes, laneErrs, err := c.SolveBatchLanes(points, ctmc.BatchOptions{Solve: opts})
 			if err != nil {
-				t.Fatalf("maxIter=%d: batch failed where solo succeeded: %v", maxIter, err)
+				t.Fatalf("%s: batch: %v", tag, err)
 			}
-			requireBitIdentical(t, "auto", want, got)
-			continue
+			for i := range points {
+				if wantErr[i] == nil {
+					if laneErrs[i] != nil {
+						t.Fatalf("%s: lane %d failed where solo succeeded: %v", tag, i, laneErrs[i])
+					}
+					requireBitIdentical(t, tag, want[i:i+1], lanes[i:i+1])
+					continue
+				}
+				requireSameFailure(t, fmt.Sprintf("%s lane %d", tag, i), wantErr[i], laneErrs[i])
+			}
+			got, err := c.SolveBatch(points, ctmc.BatchOptions{Solve: opts})
+			firstFail := -1
+			for i, e := range wantErr {
+				if e != nil {
+					firstFail = i
+					break
+				}
+			}
+			if firstFail < 0 {
+				if err != nil {
+					t.Fatalf("%s: batch failed where solo succeeded: %v", tag, err)
+				}
+				requireBitIdentical(t, "auto", want, got)
+				continue
+			}
+			var bpe *ctmc.BatchPointError
+			if !errors.As(err, &bpe) {
+				t.Fatalf("%s: want *BatchPointError, got %v", tag, err)
+			}
+			if bpe.Point != firstFail {
+				t.Fatalf("%s: failed lane %d, want %d", tag, bpe.Point, firstFail)
+			}
+			requireSameFailure(t, tag, wantErr[firstFail], err)
 		}
-		var bpe *ctmc.BatchPointError
-		if !errors.As(err, &bpe) {
-			t.Fatalf("maxIter=%d: want *BatchPointError, got %v", maxIter, err)
-		}
-		if bpe.Point != firstFail {
-			t.Fatalf("maxIter=%d: failed lane %d, want %d", maxIter, bpe.Point, firstFail)
-		}
-		var ce, soloCE *ctmc.ConvergenceError
-		if !errors.As(err, &ce) || !errors.As(wantErr[firstFail], &soloCE) {
-			t.Fatalf("maxIter=%d: want ConvergenceError on both sides (%v vs %v)", maxIter, err, wantErr[firstFail])
-		}
-		if ce.Sweep != soloCE.Sweep || ce.Iterations != soloCE.Iterations || ce.Residual != soloCE.Residual {
-			t.Fatalf("maxIter=%d: batch failure %+v differs from solo %+v", maxIter, ce, soloCE)
-		}
+	}
+}
+
+// requireSameFailure asserts that a batched lane failed exactly like the
+// solo solve: the same scheme, iteration count and residual.
+func requireSameFailure(t *testing.T, tag string, solo, batch error) {
+	t.Helper()
+	var ce, soloCE *ctmc.ConvergenceError
+	if !errors.As(batch, &ce) || !errors.As(solo, &soloCE) {
+		t.Fatalf("%s: want ConvergenceError on both sides (%v vs %v)", tag, batch, solo)
+	}
+	if ce.Sweep != soloCE.Sweep || ce.Iterations != soloCE.Iterations || ce.Residual != soloCE.Residual {
+		t.Fatalf("%s: batch failure %+v differs from solo %+v", tag, ce, soloCE)
 	}
 }
 
@@ -214,9 +241,9 @@ func TestSolveBatchLaneTolerances(t *testing.T) {
 	c := streamingParamChain(t)
 	points := streamingPoints()
 	tols := []float64{1e-6, 1e-13, 1e-8, 1e-10, 1e-7, 1e-12, 1e-9, 1e-11}
-	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepJacobi} {
+	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel} {
 		got, err := c.SolveBatch(points, ctmc.BatchOptions{
-			Solve:          ctmc.SolveOptions{Sweep: sweep, Workers: 2},
+			Solve:          ctmc.SolveOptions{Sweep: sweep},
 			LaneTolerances: tols,
 		})
 		if err != nil {
@@ -224,7 +251,7 @@ func TestSolveBatchLaneTolerances(t *testing.T) {
 		}
 		for i, pt := range points {
 			want := solveSequential(t, c, [][]float64{pt},
-				ctmc.SolveOptions{Sweep: sweep, Workers: 2, Tolerance: tols[i]})
+				ctmc.SolveOptions{Sweep: sweep, Tolerance: tols[i]})
 			requireBitIdentical(t, sweep.String(), want, got[i:i+1])
 		}
 	}

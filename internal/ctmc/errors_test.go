@@ -41,7 +41,7 @@ func TestConvergenceErrorChain(t *testing.T) {
 		}
 	}
 	// Outside a sweep (Point < 0) the point suffix must disappear.
-	solo := &ctmc.ConvergenceError{Point: -1, Sweep: ctmc.SweepJacobi}
+	solo := &ctmc.ConvergenceError{Point: -1, Sweep: ctmc.SweepMultilevel}
 	if strings.Contains(solo.Error(), "sweep point") {
 		t.Errorf("solo message %q should not mention a sweep point", solo.Error())
 	}
@@ -103,7 +103,7 @@ func TestInvariantErrorChain(t *testing.T) {
 func TestWorkerPanicNesting(t *testing.T) {
 	ce := convergenceFixture()
 	bpe := &ctmc.BatchPointError{Point: 1, Err: ce}
-	err := fault.Guard("ctmc.batch", 2, "tile 5", func() error {
+	err := fault.Guard("pipeline.sweep", 2, "points 1-8", func() error {
 		panic(bpe)
 	})
 	if !errors.Is(err, fault.ErrWorkerPanic) {
@@ -117,10 +117,10 @@ func TestWorkerPanicNesting(t *testing.T) {
 		t.Error("ConvergenceError unreachable through the panic wrapper")
 	}
 	var wpe *fault.WorkerPanicError
-	if !errors.As(err, &wpe) || wpe.Pool != "ctmc.batch" || wpe.Worker != 2 || wpe.Task != "tile 5" {
+	if !errors.As(err, &wpe) || wpe.Pool != "pipeline.sweep" || wpe.Worker != 2 || wpe.Task != "points 1-8" {
 		t.Errorf("panic attribution wrong: %+v", wpe)
 	}
-	for _, want := range []string{"ctmc.batch", "worker 2", "tile 5"} {
+	for _, want := range []string{"pipeline.sweep", "worker 2", "points 1-8"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("message %q missing %q", err.Error(), want)
 		}
@@ -129,7 +129,7 @@ func TestWorkerPanicNesting(t *testing.T) {
 
 // TestCanceledErrorNesting checks the cancellation chain: the typed
 // wrapper keeps the context cause reachable and can itself wrap a solver
-// error context (e.g. a cancellation observed while escalating).
+// error context (e.g. a cancellation observed during a retry).
 func TestCanceledErrorNesting(t *testing.T) {
 	ce := &fault.CanceledError{Phase: "pipeline.sweep", Point: 4, Iteration: -1, Err: context.DeadlineExceeded}
 	if !errors.Is(ce, context.DeadlineExceeded) {

@@ -1,12 +1,11 @@
 // Fault-tolerance properties of the solver layer: cancellation at exact
-// iterations, panic isolation in the Jacobi and batched pools, and the
-// deterministic convergence-escalation ladder.
+// iterations, the shared worker-panic contract, and the batch's rejection
+// of the retired Jacobi scheme.
 package ctmc_test
 
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -14,144 +13,23 @@ import (
 	"repro/internal/faultinject"
 )
 
-// findIterationBudget returns (insufficient, sufficient) Gauss-Seidel
-// iteration budgets for the chain: the solve fails at `insufficient` and
-// converges when the budget is multiplied by the ladder's factor (4), so
-// the ladder's first rung is guaranteed to recover it.
-func findIterationBudget(t *testing.T, c *ctmc.CTMC) (int, int) {
-	t.Helper()
-	for m := 8; m <= 1<<20; m *= 2 {
-		_, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: m})
-		if err == nil {
-			// Convergence needs k iterations with m/2 < k <= m, so m/4
-			// fails and 4*(m/4) = m suffices.
-			if m < 8 {
-				t.Fatalf("chain converges within %d iterations; too easy to force failure", m)
-			}
-			return m / 4, m
-		}
-		if !errors.Is(err, ctmc.ErrNoConvergence) {
-			t.Fatal(err)
-		}
-	}
-	t.Fatal("no iteration budget up to 2^20 converges")
-	return 0, 0
-}
-
-// TestEscalationLadderRecovers forces a real convergence failure (an
-// insufficient iteration budget) and checks that the ladder's first rung
-// recovers it with a full, deterministic trace and a solution
-// bit-identical to an unconstrained solve.
-func TestEscalationLadderRecovers(t *testing.T) {
-	c := rpcParamChain(t)
-	insufficient, sufficient := findIterationBudget(t, c)
-
-	ref, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, MaxIterations: sufficient})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var traces []*ctmc.SolveTrace
-	for _, workers := range []int{1, 8} {
-		pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{
-			Sweep:         ctmc.SweepGaussSeidel, // pinned: auto mode depends on Workers
-			MaxIterations: insufficient,
-			Workers:       workers,
-			Escalation:    ctmc.EscalateLadder,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: ladder did not recover: %v", workers, err)
-		}
-		if !trace.Escalated() {
-			t.Fatalf("workers=%d: expected an escalated trace, got %+v", workers, trace)
-		}
-		base := trace.Attempts[0]
-		if base.Rung != 0 || base.Action != "base" || base.Converged || base.Iterations != insufficient {
-			t.Errorf("workers=%d: base attempt wrong: %+v", workers, base)
-		}
-		last := trace.Attempts[len(trace.Attempts)-1]
-		if last.Rung != 1 || last.Action != "raise-max-iterations" || !last.Converged {
-			t.Errorf("workers=%d: recovery attempt wrong: %+v", workers, last)
-		}
-		if last.MaxIterations != 4*insufficient {
-			t.Errorf("workers=%d: rung 1 budget = %d, want %d", workers, last.MaxIterations, 4*insufficient)
-		}
-		for i := range pi {
-			if pi[i] != ref[i] {
-				t.Fatalf("workers=%d: escalated solution differs from reference at state %d: %v != %v",
-					workers, i, pi[i], ref[i])
-			}
-		}
-		traces = append(traces, trace)
-	}
-	if !reflect.DeepEqual(traces[0], traces[1]) {
-		t.Errorf("trace depends on worker count:\n w=1: %+v\n w=8: %+v", traces[0], traces[1])
-	}
-}
-
-// TestEscalationLadderExhausts pins the ladder's failure shape: with a
-// hopeless budget every applicable rung is tried in order, the trace
-// records each one, and the final error is still a ConvergenceError.
-func TestEscalationLadderExhausts(t *testing.T) {
-	c := rpcParamChain(t)
-	_, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{
-		Sweep:         ctmc.SweepGaussSeidel,
-		MaxIterations: 1,
-		Escalation:    ctmc.EscalateLadder,
-	})
-	if err == nil {
-		t.Fatal("expected the ladder to exhaust")
-	}
-	if !errors.Is(err, ctmc.ErrNoConvergence) {
-		t.Fatalf("exhausted ladder should report non-convergence, got %v", err)
-	}
-	// Cold solve: the cold-restart rung is skipped, leaving base + 4 rungs.
-	wantActions := []string{"base", "raise-max-iterations", "switch-sweep", "increase-damping", "multilevel"}
-	if len(trace.Attempts) != len(wantActions) {
-		t.Fatalf("attempts = %d, want %d: %+v", len(trace.Attempts), len(wantActions), trace.Attempts)
-	}
-	for i, a := range trace.Attempts {
-		if a.Action != wantActions[i] || a.Converged {
-			t.Errorf("attempt %d: got %+v, want action %q, not converged", i, a, wantActions[i])
-		}
-	}
-	if trace.Attempts[2].Sweep != ctmc.SweepJacobi {
-		t.Errorf("switch-sweep rung should run Jacobi, ran %v", trace.Attempts[2].Sweep)
-	}
-	if got, want := trace.Attempts[3].Omega, jacobiOmegaForTest/2; got != want {
-		t.Errorf("increase-damping rung omega = %v, want %v", got, want)
-	}
-	if a := trace.Attempts[4]; a.Sweep != ctmc.SweepMultilevel || a.Omega != 1 {
-		t.Errorf("multilevel rung should run undamped multilevel, got %+v", a)
-	}
-}
-
-// jacobiOmegaForTest mirrors the solver's Jacobi damping default (pinned
-// by TestEscalationLadderExhausts through the rung-3 halving).
-const jacobiOmegaForTest = 0.5
-
-// TestEscalationRejectsInBatch pins the option split: Omega and Escalation
-// are solo-solver options and SolveBatch rejects them loudly instead of
-// silently ignoring them.
+// TestEscalationRejectsInBatch pins that the batch rejects the retired
+// Jacobi scheme — the last sweep the escalation ladder switched to —
+// loudly, instead of silently running another scheme.
 func TestEscalationRejectsInBatch(t *testing.T) {
 	c := rpcParamChain(t)
 	if _, err := c.SolveBatch(rpcPoints()[:2], ctmc.BatchOptions{
-		Solve: ctmc.SolveOptions{Escalation: ctmc.EscalateLadder},
+		Solve: ctmc.SolveOptions{Sweep: ctmc.SweepJacobi},
 	}); err == nil {
-		t.Error("SolveBatch accepted Escalation")
-	}
-	if _, err := c.SolveBatch(rpcPoints()[:2], ctmc.BatchOptions{
-		Solve: ctmc.SolveOptions{Omega: 0.25},
-	}); err == nil {
-		t.Error("SolveBatch accepted Omega")
+		t.Error("SolveBatch accepted the retired Jacobi sweep")
 	}
 }
 
 // TestSolveCancelAtIteration cancels a solve at an exact iteration via an
 // injected trigger and checks the typed error: phase, iteration, and the
-// context cause are all reported, for both sweep schemes.
+// context cause are all reported.
 func TestSolveCancelAtIteration(t *testing.T) {
-	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepJacobi} {
+	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel} {
 		ctx, cancel := context.WithCancel(context.Background())
 		plan := faultinject.NewPlan().Arm(faultinject.SiteSolveIteration, 3).
 			OnFire(faultinject.SiteSolveIteration, func(int) { cancel() })
@@ -175,36 +53,6 @@ func TestSolveCancelAtIteration(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("sweep %v: cause chain lost context.Canceled: %v", sweep, err)
 		}
-	}
-}
-
-// TestJacobiBlockPanicIsolated injects a panic into a block task of the
-// solo Jacobi pool and checks it surfaces as a typed worker-panic error
-// with the injected fault intact — at one worker (inline execution) and
-// several (pooled execution) alike.
-func TestJacobiBlockPanicIsolated(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		plan := faultinject.NewPlan().Arm(faultinject.SiteJacobiBlock, 0)
-		faultinject.Activate(plan)
-		c := rpcParamChain(t)
-		_, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: workers})
-		faultinject.Deactivate()
-		requireWorkerPanic(t, err, "ctmc.jacobi", faultinject.SiteJacobiBlock, 0)
-	}
-}
-
-// TestBatchTilePanicIsolated injects a panic into a tile task of the
-// batched Jacobi pool and checks the same recovery contract.
-func TestBatchTilePanicIsolated(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		plan := faultinject.NewPlan().Arm(faultinject.SiteBatchTile, 0)
-		faultinject.Activate(plan)
-		c := rpcParamChain(t)
-		_, err := c.SolveBatch(rpcPoints()[:4], ctmc.BatchOptions{
-			Solve: ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: workers},
-		})
-		faultinject.Deactivate()
-		requireWorkerPanic(t, err, "ctmc.batch", faultinject.SiteBatchTile, 0)
 	}
 }
 

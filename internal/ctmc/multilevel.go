@@ -50,10 +50,16 @@ const (
 	// copy of the start vector and compares the residual at sweep
 	// multilevelProbeCheck with the final one: decay by less than
 	// multilevelStallRatio over the remaining sweeps means the smoother
-	// is grinding at a slow mode the coarse correction can remove.
+	// is grinding at a slow mode the coarse correction can remove. The
+	// ratio separates the two regimes with margin on both sides: every
+	// shipped study solve decays to at most 0.14 over that window (cold
+	// or warm-started, solo or batched), while the ε-coupled test chain
+	// of multilevel_test.go stays at 0.63–0.67 for every ε from 1e-3 to
+	// 1e-7 and misses the 1e-12 tolerance within the default budget of
+	// 200000 Gauss-Seidel sweeps.
 	multilevelProbeSweeps = 24
 	multilevelProbeCheck  = 8
-	multilevelStallRatio  = 0.7
+	multilevelStallRatio  = 0.5
 )
 
 // coarsePlan is the cached coarse operator of the multilevel scheme: the
@@ -289,20 +295,16 @@ func (p *component) coarseCorrect(cp *coarsePlan, x, w, sums, a, y []float64) {
 // stalledGS is the SweepAuto stall probe: a fixed number of sequential
 // Gauss-Seidel sweeps on a copy of the start vector, comparing the
 // residual at the check sweep with the final one. It is a pure function
-// of the component, the options, and the start — it never consults
-// Workers, the context, or the fault-injection sites — so solo and
+// of the component, the options, and the start — it never consults the
+// context or the fault-injection sites — so solo and
 // batched auto solves at any schedule agree on it. A probe that converges
 // (or collapses) reports not-stalled and lets the plain path finish the
 // job; the probe iterate is discarded either way.
 func (p *component) stalledGS(opts SolveOptions, start []float64) bool {
 	x := append([]float64(nil), start...)
-	omega := opts.Omega
-	if omega == 0 {
-		omega = 1
-	}
 	var dCheck, dEnd float64
 	for iter := 0; iter < multilevelProbeSweeps; iter++ {
-		d := p.gsSweepOnce(x, omega)
+		d := p.gsSweepOnce(x)
 		if !sumNormalize(x) {
 			return false
 		}
@@ -326,10 +328,6 @@ func (p *component) stalledGS(opts SolveOptions, start []float64) bool {
 func (p *component) multilevel(opts SolveOptions, start []float64, cp *coarsePlan) ([]float64, solveStats, error) {
 	var st solveStats
 	x := append([]float64(nil), start...)
-	omega := opts.Omega
-	if omega == 0 {
-		omega = 1
-	}
 	done := cancelChan(opts.Ctx)
 	nb := cp.nb
 	a := make([]float64, nb*nb)
@@ -351,7 +349,7 @@ func (p *component) multilevel(opts SolveOptions, start []float64, cp *coarsePla
 			if err := pollSolve(opts.Ctx, done, iter); err != nil {
 				return nil, st, err
 			}
-			lastDelta = p.gsSweepOnce(x, omega)
+			lastDelta = p.gsSweepOnce(x)
 			if !sumNormalize(x) {
 				return nil, st, &ConvergenceError{Iterations: iter + 1, Cycles: cycle, Residual: lastDelta,
 					Tolerance: opts.Tolerance, Sweep: SweepMultilevel, Point: -1}
@@ -374,14 +372,14 @@ func (p *component) multilevel(opts SolveOptions, start []float64, cp *coarsePla
 			if err := pollSolve(opts.Ctx, done, iter); err != nil {
 				return nil, st, err
 			}
-			lastDelta = p.gsSweepOnce(x, omega)
+			lastDelta = p.gsSweepOnce(x)
 			if !sumNormalize(x) {
 				return nil, st, &ConvergenceError{Iterations: iter + 1, Cycles: cycle, Residual: lastDelta,
 					Tolerance: opts.Tolerance, Sweep: SweepMultilevel, Point: -1}
 			}
 			iter++
 			if lastDelta < opts.Tolerance {
-				return x, solveStats{Sweep: SweepMultilevel, Iterations: iter, Cycles: cycle + 1, Residual: lastDelta}, nil
+				return x, solveStats{Iterations: iter, Cycles: cycle + 1, Residual: lastDelta}, nil
 			}
 		}
 	}

@@ -131,7 +131,7 @@ func TestMultilevelConvergesWhereSweepsStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := 4000
-	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel, ctmc.SweepJacobi} {
+	for _, sweep := range []ctmc.Sweep{ctmc.SweepGaussSeidel} {
 		_, err := c.SteadyState(ctmc.SolveOptions{Sweep: sweep, MaxIterations: budget})
 		if !errors.Is(err, ctmc.ErrNoConvergence) {
 			t.Fatalf("%v on the ε chain: want non-convergence within %d iterations, got %v", sweep, budget, err)
@@ -217,7 +217,7 @@ func TestMultilevelAutoSelection(t *testing.T) {
 	if err := c.Rebind([]float64{1e-7}); err != nil {
 		t.Fatal(err)
 	}
-	pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{Sweep: ctmc.SweepAuto, Workers: 1})
+	pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{Sweep: ctmc.SweepAuto})
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
@@ -318,41 +318,5 @@ func TestMultilevelCancelAtIteration(t *testing.T) {
 	}
 	if ce.Phase != "ctmc.steady-state" || ce.Iteration != 5 {
 		t.Errorf("canceled at %q iteration %d, want ctmc.steady-state iteration 5", ce.Phase, ce.Iteration)
-	}
-}
-
-// TestAutoSelectsJacobiSoloOnHugeComponent pins the documented auto rule's
-// single-worker clause: a component at JacobiThreshold×16 states resolves
-// to Jacobi even at Workers == 1, and identically through ResolveSolve
-// (the rule solo and batch share). The thresholds are shrunk so the
-// 80-state ε chain plays the "huge" component.
-func TestAutoSelectsJacobiSoloOnHugeComponent(t *testing.T) {
-	c := epsChain(t)
-	if err := c.Rebind([]float64{1e-3}); err != nil {
-		t.Fatal(err)
-	}
-	// 80 >= 5×16: the solo clause fires with one worker.
-	r, err := c.ResolveSolve(ctmc.SolveOptions{Workers: 1, JacobiThreshold: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Sweep != ctmc.SweepJacobi {
-		t.Errorf("workers=1 threshold=5: resolved %v, want jacobi (solo clause)", r.Sweep)
-	}
-	// 80 < 6×16 but 80 >= 6 with two workers: the parallel clause fires.
-	r, err = c.ResolveSolve(ctmc.SolveOptions{Workers: 2, JacobiThreshold: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Sweep != ctmc.SweepJacobi {
-		t.Errorf("workers=2 threshold=6: resolved %v, want jacobi (parallel clause)", r.Sweep)
-	}
-	// 80 < 6×16 at one worker: neither clause fires.
-	r, err = c.ResolveSolve(ctmc.SolveOptions{Workers: 1, JacobiThreshold: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Sweep != ctmc.SweepGaussSeidel {
-		t.Errorf("workers=1 threshold=6: resolved %v, want gauss-seidel", r.Sweep)
 	}
 }

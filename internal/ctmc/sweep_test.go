@@ -61,76 +61,86 @@ func steadyOrFatal(t *testing.T, c *ctmc.CTMC, opts ctmc.SolveOptions) []float64
 	return pi
 }
 
-// TestJacobiMatchesGaussSeidel checks the two sweep modes agree on the
-// paper's chains to within solver tolerance: they iterate differently but
-// share the fixed point.
-func TestJacobiMatchesGaussSeidel(t *testing.T) {
-	chains := map[string]*ctmc.CTMC{
-		"rpc":       rpcChain(t),
-		"streaming": streamingChain(t),
+// TestSweepRejectsUnknownModes pins the input check: every sweep outside
+// {auto, gauss-seidel, multilevel} — the retired Jacobi slot included —
+// is an error from SteadyState, SteadyStateTraced and SolveBatch alike,
+// never a silent Gauss-Seidel solve.
+func TestSweepRejectsUnknownModes(t *testing.T) {
+	c := rpcParamChain(t)
+	entries := map[string]func(ctmc.SolveOptions) error{
+		"SteadyState": func(o ctmc.SolveOptions) error {
+			_, err := c.SteadyState(o)
+			return err
+		},
+		"SteadyStateTraced": func(o ctmc.SolveOptions) error {
+			_, _, err := c.SteadyStateTraced(o)
+			return err
+		},
+		"SolveBatch": func(o ctmc.SolveOptions) error {
+			_, err := c.SolveBatch(rpcPoints()[:2], ctmc.BatchOptions{Solve: o})
+			return err
+		},
 	}
-	for name, c := range chains {
-		gs := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel})
-		ja := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi})
-		for s := range gs {
-			diff := math.Abs(gs[s] - ja[s])
-			if rel := diff / math.Max(math.Abs(gs[s]), 1e-12); rel > 1e-8 && diff > 1e-12 {
-				t.Fatalf("%s: state %d: gauss-seidel %g vs jacobi %g (rel %g)", name, s, gs[s], ja[s], rel)
+	for _, tc := range []struct {
+		sweep ctmc.Sweep
+		ok    bool
+	}{
+		{ctmc.SweepAuto, true},
+		{ctmc.SweepGaussSeidel, true},
+		{ctmc.SweepMultilevel, true},
+		{ctmc.SweepJacobi, false},
+		{ctmc.Sweep(-1), false},
+		{ctmc.SweepMultilevel + 1, false},
+	} {
+		for name, solve := range entries {
+			err := solve(ctmc.SolveOptions{Sweep: tc.sweep})
+			if tc.ok && err != nil {
+				t.Errorf("%s(%v): %v", name, tc.sweep, err)
+			}
+			if !tc.ok && err == nil {
+				t.Errorf("%s(%v): unknown sweep accepted", name, tc.sweep)
+			}
+			if !tc.ok && errors.Is(err, ctmc.ErrNoConvergence) {
+				t.Errorf("%s(%v): rejection reported as non-convergence: %v", name, tc.sweep, err)
 			}
 		}
 	}
 }
 
-// TestJacobiWorkerBitIdentity pins the parallel solve contract: the
-// Jacobi vector is bit-identical at any worker count.
-func TestJacobiWorkerBitIdentity(t *testing.T) {
-	c := streamingChain(t)
-	x1 := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: 1})
-	for _, workers := range []int{2, 4} {
-		xw := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, Workers: workers})
-		for s := range x1 {
-			if x1[s] != xw[s] {
-				t.Fatalf("workers=%d: state %d: %v != %v (must be bit-identical)", workers, s, xw[s], x1[s])
-			}
+// TestAutoRetryTraced pins the trace of auto mode's multilevel retry at a
+// budget Gauss-Seidel cannot meet: the first attempt records the failed
+// Gauss-Seidel run with its full budget of iterations, the second the
+// converged "multilevel-retry", and the result equals an explicit
+// multilevel solve at the same budget bit for bit. The quick streaming
+// chain plays the part: its 168-state component clears the auto rule's
+// 64-state floor, which the 48-state rpc component does not.
+func TestAutoRetryTraced(t *testing.T) {
+	c := streamingParamChain(t)
+	const budget = 80
+	pi, trace, err := c.SteadyStateTraced(ctmc.SolveOptions{MaxIterations: budget})
+	if err != nil {
+		t.Fatalf("auto at %d iterations: %v", budget, err)
+	}
+	if len(trace.Attempts) != 2 {
+		t.Fatalf("attempts = %+v, want the Gauss-Seidel attempt and the retry", trace.Attempts)
+	}
+	first, retry := trace.Attempts[0], trace.Attempts[1]
+	if first.Rung != 0 || first.Action != "base" || first.Sweep != ctmc.SweepGaussSeidel ||
+		first.Converged || first.Iterations != budget || first.MaxIterations != budget ||
+		!(first.Residual > 0) || math.IsInf(first.Residual, 0) {
+		t.Errorf("first attempt = %+v, want the failed Gauss-Seidel run at %d iterations", first, budget)
+	}
+	if retry.Rung != 1 || retry.Action != "multilevel-retry" || retry.Sweep != ctmc.SweepMultilevel ||
+		!retry.Converged || retry.Cycles < 1 || retry.Iterations > budget {
+		t.Errorf("retry attempt = %+v, want a converged multilevel run within %d iterations", retry, budget)
+	}
+	forced, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepMultilevel, MaxIterations: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range pi {
+		if pi[s] != forced[s] {
+			t.Fatalf("state %d: retried %v != explicit multilevel %v", s, pi[s], forced[s])
 		}
-	}
-}
-
-// TestJacobiAutoSelection checks the auto mode picks Jacobi above the
-// threshold and still lands on the Gauss-Seidel fixed point.
-func TestJacobiAutoSelection(t *testing.T) {
-	c := rpcChain(t)
-	gs := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel})
-	// Threshold 2 plus two workers forces every multi-state component
-	// through Jacobi (auto requires both the size and a real pool).
-	auto := steadyOrFatal(t, c, ctmc.SolveOptions{JacobiThreshold: 2, Workers: 2})
-	ja := steadyOrFatal(t, c, ctmc.SolveOptions{Sweep: ctmc.SweepJacobi})
-	for s := range auto {
-		if auto[s] != ja[s] {
-			t.Fatalf("state %d: auto %v != forced jacobi %v", s, auto[s], ja[s])
-		}
-		if rel := math.Abs(auto[s]-gs[s]) / math.Max(math.Abs(gs[s]), 1e-12); rel > 1e-8 {
-			t.Fatalf("state %d: auto %v vs gauss-seidel %v (rel %g)", s, auto[s], gs[s], rel)
-		}
-	}
-}
-
-// TestJacobiConvergenceErrorSweep checks a failing forced-Jacobi solve
-// reports its sweep mode (no silent Gauss-Seidel fallback outside auto).
-func TestJacobiConvergenceErrorSweep(t *testing.T) {
-	c := rpcChain(t)
-	_, err := c.SteadyState(ctmc.SolveOptions{Sweep: ctmc.SweepJacobi, MaxIterations: 2})
-	if !errors.Is(err, ctmc.ErrNoConvergence) {
-		t.Fatalf("want ErrNoConvergence, got %v", err)
-	}
-	var ce *ctmc.ConvergenceError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *ConvergenceError, got %T", err)
-	}
-	if ce.Sweep != ctmc.SweepJacobi {
-		t.Fatalf("Sweep = %v, want jacobi", ce.Sweep)
-	}
-	if ce.Iterations != 2 {
-		t.Fatalf("Iterations = %d, want 2", ce.Iterations)
 	}
 }

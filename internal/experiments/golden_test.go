@@ -198,20 +198,18 @@ func approxEqualJSON(t *testing.T, name string, a, b json.RawMessage, tol float6
 }
 
 // TestGoldenSolverSweepModes pins the solver-side determinism contract on
-// the Markovian slice of the golden suite: each sweep mode produces
-// bit-identical JSON at workers 1 and 8, the forced Gauss-Seidel run
-// matches the auto-selected quick-suite results byte for byte (the quick
-// components sit below the Jacobi threshold), and the two sweep modes
-// agree within solver tolerance.
+// the Markovian slice of the golden suite: the forced Gauss-Seidel run
+// and the auto-selected run are each bit-identical at workers 1 and 8,
+// and auto matches Gauss-Seidel byte for byte (no quick-suite component
+// stalls, so auto runs plain Gauss-Seidel throughout).
 func TestGoldenSolverSweepModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden suite is not short")
 	}
 	gs1 := collectMarkovian(t, 1, ctmc.SweepGaussSeidel)
 	gs8 := collectMarkovian(t, 8, ctmc.SweepGaussSeidel)
-	ja1 := collectMarkovian(t, 1, ctmc.SweepJacobi)
-	ja8 := collectMarkovian(t, 8, ctmc.SweepJacobi)
 	auto1 := collectMarkovian(t, 1, ctmc.SweepAuto)
+	auto8 := collectMarkovian(t, 8, ctmc.SweepAuto)
 
 	for name, want := range gs1 {
 		if !bytes.Equal(gs8[name], want) {
@@ -220,13 +218,8 @@ func TestGoldenSolverSweepModes(t *testing.T) {
 		if !bytes.Equal(auto1[name], want) {
 			t.Errorf("%s: auto mode differs from gauss-seidel on the quick suite", name)
 		}
-	}
-	for name, want := range ja1 {
-		if !bytes.Equal(ja8[name], want) {
-			t.Errorf("%s: jacobi differs between workers 1 and 8", name)
+		if !bytes.Equal(auto8[name], auto1[name]) {
+			t.Errorf("%s: auto mode differs between workers 1 and 8", name)
 		}
-	}
-	for name := range gs1 {
-		approxEqualJSON(t, name, gs1[name], ja1[name], 1e-6)
 	}
 }

@@ -84,13 +84,13 @@ func Check(ctx context.Context, phase string, point, iteration int) error {
 // pool survives, records the error under its usual lowest-task-index
 // attribution, and surfaces it like any other task failure.
 type WorkerPanicError struct {
-	// Pool names the pool ("lts.generate", "ctmc.jacobi", "ctmc.batch",
-	// "pipeline.sweep", "sim.replications").
+	// Pool names the pool ("lts.generate", "ctmc.multilevel",
+	// "pipeline.sweep", "sim", "experiments").
 	Pool string
 	// Worker is the index of the worker goroutine that recovered the
 	// panic (0 on a sequential path).
 	Worker int
-	// Task identifies the panicked task ("point 3", "block 7", …).
+	// Task identifies the panicked task ("point 3", "coarse cycle 2", …).
 	Task string
 	// Value is the recovered panic value.
 	Value any

@@ -36,18 +36,12 @@ const (
 	// iteration; the key is the iteration number. Pair it with OnFire to
 	// cancel a solve at an exact iteration.
 	SiteSolveIteration = "ctmc.solve.iteration"
-	// SiteJacobiBlock fires in a block task of the solo Jacobi pool; the
-	// key is the block index.
-	SiteJacobiBlock = "ctmc.jacobi.block"
-	// SiteBatchTile fires in a tile task of the batched Jacobi pool; the
-	// key is the tile index.
-	SiteBatchTile = "ctmc.batch.tile"
 	// SiteSweepPoint fires in a sweep-point task of
 	// pipeline.Session.Sweep; the key is the global point index.
 	SiteSweepPoint = "pipeline.sweep.point"
-	// SiteSweepNonconverge marks a sweep point whose base solve is
-	// reported as non-converged even if it converged, to drive the
-	// escalation ladder; the key is the global point index.
+	// SiteSweepNonconverge marks a sweep point whose solve is reported as
+	// non-converged even if it converged, to check that the failure
+	// surfaces attributed to its point; the key is the global point index.
 	SiteSweepNonconverge = "pipeline.sweep.nonconverge"
 	// SiteCheckpointWrite fires before a checkpoint write; the key is the
 	// write ordinal (0 for the first write of the sweep).

@@ -141,7 +141,9 @@ func encodeCheckpoint(c *checkpoint) []byte {
 				b = ckStr(b, a.Action)
 				b = ckU32(b, uint32(a.Sweep))
 				b = ckU64(b, uint64(a.MaxIterations))
-				b = ckU64(b, math.Float64bits(a.Omega))
+				// The retired damping factor's slot: every remaining
+				// scheme runs the undamped update, ω = 1.
+				b = ckU64(b, math.Float64bits(1))
 				var flags byte
 				if a.WarmStart {
 					flags |= 1
@@ -257,8 +259,8 @@ func decodeCheckpoint(data []byte, report func(values map[string]float64) *Phase
 					Action:        r.str(),
 					Sweep:         ctmc.Sweep(r.u32()),
 					MaxIterations: int(r.u64()),
-					Omega:         r.f64(),
 				}
+				r.f64() // the retired damping factor's slot
 				var flags byte
 				if s := r.take(1); s != nil {
 					flags = s[0]

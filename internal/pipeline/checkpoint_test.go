@@ -20,10 +20,10 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 			3: {
 				Values: map[string]float64{"util": 0.375},
 				Trace: &ctmc.SolveTrace{Attempts: []ctmc.SolveAttempt{
-					{Rung: 0, Action: "forced-nonconvergence", Sweep: ctmc.SweepGaussSeidel,
-						MaxIterations: 100, Omega: 1, WarmStart: true, Iterations: 100, Residual: 0.5},
-					{Rung: 1, Action: "raise-max-iterations", Sweep: ctmc.SweepGaussSeidel,
-						MaxIterations: 400, Omega: 1, WarmStart: true, Converged: true},
+					{Rung: 0, Action: "base", Sweep: ctmc.SweepGaussSeidel,
+						MaxIterations: 100, WarmStart: true, Iterations: 100, Residual: 0.5},
+					{Rung: 1, Action: "multilevel-retry", Sweep: ctmc.SweepMultilevel,
+						MaxIterations: 100, WarmStart: true, Converged: true},
 				}},
 			},
 		},

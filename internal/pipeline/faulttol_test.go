@@ -1,6 +1,6 @@
 // Fault-tolerance properties of the sweep driver: cancellation with
-// checkpoint/resume bit-identity, panic attribution, deterministic
-// escalation traces, and the checkpoint format's failure modes.
+// checkpoint/resume bit-identity, panic attribution, attribution of a
+// forced non-convergence, and the checkpoint format's failure modes.
 package pipeline_test
 
 import (
@@ -150,77 +150,40 @@ func TestPhase2SweepPanicAttribution(t *testing.T) {
 	}
 }
 
-// TestPhase2SweepEscalationTraceDeterministic forces a non-convergence at
-// sweep point 2 and checks the ladder recovers it with values
-// bit-identical to an uninjected run and an attempt trace that is a pure
-// function of the input — identical at every worker count and lane width.
-func TestPhase2SweepEscalationTraceDeterministic(t *testing.T) {
+// TestPhase2SweepForcedNonconvergenceAttributed forces a non-convergence
+// at sweep point 2 and checks it surfaces as a convergence error
+// attributed to that point and carrying its rate vector — never silently
+// succeeding — with the same error at every worker count and lane width.
+func TestPhase2SweepForcedNonconvergenceAttributed(t *testing.T) {
 	p, points := rpcSweepFixture(t)
 	m := elaborateRPC(t, *p)
 	measures := models.RPCMeasures(*p)
-	// Auto mode resolves the scheme per worker count; trace-identity needs
-	// a pinned sweep.
-	solve := ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel, Escalation: ctmc.EscalateLadder}
 
-	baseline, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures, Solve: solve}, pipeline.Config{}).Sweep(points, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rep := range baseline {
-		if rep.Trace != nil {
-			t.Fatalf("uninjected point %d carries a trace: %+v", i, rep.Trace)
-		}
-	}
-
-	var traces []*ctmc.SolveTrace
+	var msgs []string
 	for _, workers := range []int{1, 8} {
 		for _, lanes := range []int{1, 8} {
 			tag := fmt.Sprintf("workers=%d lanes=%d", workers, lanes)
 			plan := faultinject.NewPlan().Arm(faultinject.SiteSweepNonconverge, 2)
 			faultinject.Activate(plan)
-			reps, err := pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures, Solve: solve}, pipeline.Config{Workers: workers, LaneWidth: lanes}).Sweep(points, nil)
+			_, err := modelSession(m, measures, pipeline.Config{Workers: workers, LaneWidth: lanes}).Sweep(points, nil)
 			faultinject.Deactivate()
-			if err != nil {
-				t.Fatalf("%s: ladder did not recover the forced failure: %v", tag, err)
+			if err == nil {
+				t.Fatalf("%s: forced non-convergence vanished", tag)
 			}
-			requireSameReports(t, tag, baseline, reps)
-			trace := reps[2].Trace
-			if trace == nil || !trace.Escalated() {
-				t.Fatalf("%s: recovered point 2 has no escalation trace", tag)
+			var conv *ctmc.ConvergenceError
+			if !errors.As(err, &conv) || conv.Point != 2 {
+				t.Fatalf("%s: forced failure not attributed to point 2: %v", tag, err)
 			}
-			if got := trace.Attempts[0].Action; got != "forced-nonconvergence" {
-				t.Errorf("%s: base attempt action %q, want forced-nonconvergence", tag, got)
+			if !reflect.DeepEqual(conv.Params, points[2]) {
+				t.Errorf("%s: failure carries params %v, want %v", tag, conv.Params, points[2])
 			}
-			last := trace.Attempts[len(trace.Attempts)-1]
-			if !last.Converged || last.Action != "raise-max-iterations" {
-				t.Errorf("%s: recovery attempt wrong: %+v", tag, last)
-			}
-			for i, rep := range reps {
-				if i != 2 && rep.Trace != nil {
-					t.Errorf("%s: unescalated point %d carries a trace", tag, i)
-				}
-			}
-			traces = append(traces, trace)
+			msgs = append(msgs, err.Error())
 		}
 	}
-	for i := 1; i < len(traces); i++ {
-		if !reflect.DeepEqual(traces[0], traces[i]) {
-			t.Errorf("trace depends on scheduling:\n first: %+v\n other: %+v", traces[0], traces[i])
+	for i := 1; i < len(msgs); i++ {
+		if msgs[i] != msgs[0] {
+			t.Errorf("error depends on scheduling:\n first: %s\n other: %s", msgs[0], msgs[i])
 		}
-	}
-
-	// Without the ladder the forced failure must surface as a convergence
-	// error attributed to point 2 — never silently succeed.
-	plan := faultinject.NewPlan().Arm(faultinject.SiteSweepNonconverge, 2)
-	faultinject.Activate(plan)
-	_, err = pipeline.NewSession(pipeline.Spec{Model: m, Measures: measures, Solve: ctmc.SolveOptions{Sweep: ctmc.SweepGaussSeidel}}, pipeline.Config{}).Sweep(points, nil)
-	faultinject.Deactivate()
-	if err == nil {
-		t.Fatal("forced non-convergence vanished without the ladder")
-	}
-	var conv *ctmc.ConvergenceError
-	if !errors.As(err, &conv) || conv.Point != 2 {
-		t.Errorf("forced failure not attributed to point 2: %v", err)
 	}
 }
 

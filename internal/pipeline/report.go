@@ -23,14 +23,12 @@ type Phase2Report struct {
 	Values map[string]float64
 	// States, Tangible and Vanishing size the state space and the chain.
 	States, Tangible, Vanishing int
-	// Trace records the solver's attempt history for this point: the base
-	// attempt's resolved scheme, iterations/cycles, and residual, plus
-	// every escalation rung when the sweep ran with ctmc.EscalateLadder
-	// and the base configuration did not converge. Sweep-point reports
-	// carry a trace only for escalated points (nil when the base attempt
-	// sufficed); Phase2 reports always carry the base attempt, so the
-	// scheme an auto solve actually ran — including a stall-probe upgrade
-	// to multilevel — is observable (dpmassess solve -stats prints it).
+	// Trace records what the solver ran for a Phase2 report: the scheme
+	// an auto solve actually ran (including a stall-probe upgrade to
+	// multilevel), its iterations/cycles and residual, and auto mode's
+	// multilevel retry as a second attempt when Gauss-Seidel exhausted
+	// its budget (dpmassess solve -stats prints it). Sweep-point reports
+	// carry no trace (nil).
 	Trace *ctmc.SolveTrace
 }
 

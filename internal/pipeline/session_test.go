@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -290,5 +291,58 @@ func TestSpecHashIgnoresScheduling(t *testing.T) {
 	ml.Solve.Sweep = ctmc.SweepMultilevel
 	if base.Hash() == ml.Hash() {
 		t.Fatalf("multilevel sweep mode did not change the spec hash")
+	}
+}
+
+// TestAutoSolveWorkerInvariant pins that an auto steady-state solve is a
+// pure function of the spec: two fresh sessions (no shared Manager) on the
+// Full streaming Markovian model, one at Config{Workers: 1} and one at
+// Config{Workers: 2}, report bit-identical Phase2 values, and their chains
+// solve to bit-identical steady-state vectors with the solver's
+// deprecated Workers knob set to each count.
+func TestAutoSolveWorkerInvariant(t *testing.T) {
+	p := models.DefaultStreamingParams()
+	spec := pipeline.Spec{
+		Key:      fmt.Sprintf("streaming:%#v", p),
+		Build:    func() (*aemilia.ArchiType, error) { return models.BuildStreaming(p) },
+		Measures: models.StreamingMeasures(p),
+	}
+	var (
+		values []map[string]float64
+		pis    [][]float64
+	)
+	for _, workers := range []int{1, 2} {
+		s := pipeline.NewSession(spec, pipeline.Config{Workers: workers})
+		rep, err := s.Phase2()
+		if err != nil {
+			t.Fatalf("workers=%d: Phase2: %v", workers, err)
+		}
+		chain, err := s.Chain()
+		if err != nil {
+			t.Fatalf("workers=%d: Chain: %v", workers, err)
+		}
+		pi, err := chain.SteadyState(ctmc.SolveOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: SteadyState: %v", workers, err)
+		}
+		values = append(values, rep.Values)
+		pis = append(pis, pi)
+	}
+	for name, v := range values[0] {
+		if w := values[1][name]; math.Float64bits(w) != math.Float64bits(v) {
+			t.Errorf("measure %s: workers=1 %v, workers=2 %v (must be bit-identical)", name, v, w)
+		}
+	}
+	if len(pis[0]) != len(pis[1]) {
+		t.Fatalf("steady-state lengths differ: %d vs %d", len(pis[0]), len(pis[1]))
+	}
+	diff := 0
+	for s := range pis[0] {
+		if math.Float64bits(pis[0][s]) != math.Float64bits(pis[1][s]) {
+			diff++
+		}
+	}
+	if diff > 0 {
+		t.Errorf("steady state differs in %d of %d entries between workers 1 and 2", diff, len(pis[0]))
 	}
 }

@@ -87,13 +87,11 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 //     error names the lowest failed point index (what a sequential
 //     per-point loop would hit first), and an unwrapped
 //     *ctmc.ConvergenceError carries the point index and its rate vector.
-//   - With the spec's Solve.Escalation set to ctmc.EscalateLadder, a
-//     point that fails to converge is retried through the deterministic
-//     escalation ladder (see ctmc.EscalateLadder); a recovered point's
-//     report carries the attempt trace in Phase2Report.Trace. Batched
-//     lanes escalate exactly like solo points: a lane's base failure is
-//     bit-identical to the solo base attempt, and the ladder re-solves
-//     the lane solo from rung 1.
+//   - A point that fails to converge (after auto mode's multilevel
+//     retry, see ctmc.SweepAuto) fails the sweep with a
+//     *ctmc.ConvergenceError naming the point. Batched lanes fail exactly
+//     like solo points: a lane's outcome is bit-identical to the solo
+//     solve's.
 //   - A panic in a sweep worker is recovered into a
 //     *fault.WorkerPanicError instead of crashing the process.
 //   - A cancellation via Config.Ctx surfaces as a *fault.CanceledError
@@ -103,7 +101,7 @@ func sweepHash(chain *ctmc.CTMC, l *lts.LTS, points [][]float64, measures []meas
 // more than one point; sweeping a parameter that changes the model's
 // structure needs one generation per point instead. A slot-free model is
 // accepted with exactly one (empty) point — a single solve run through
-// the sweep driver for its checkpoint/resume and escalation machinery.
+// the sweep driver for its checkpoint/resume machinery.
 //
 // A non-nil ckOpts makes the sweep resumable (see CheckpointOptions):
 // completed point results and the anchor solution are periodically
@@ -175,64 +173,30 @@ func (s *Session) Sweep(points [][]float64, ckOpts *CheckpointOptions) ([]*Phase
 		}
 	}
 
-	// mkSolve builds one point's solver options: the session's context,
-	// the given warm start, and escalation stripped — the sweep runs the
-	// ladder itself so that batched lanes and solo points share one
-	// escalation path.
+	// mkSolve builds one point's solver options: the session's context
+	// and the given warm start.
 	mkSolve := func(warm []float64) ctmc.SolveOptions {
 		solve := spec.Solve
 		solve.Ctx = ctx
 		solve.WarmStart = warm
-		solve.Escalation = ctmc.EscalateNever
 		return solve
 	}
 
 	// forcedCE synthesizes the convergence error an injected
-	// SiteSweepNonconverge trigger reports for a point whose base solve
-	// actually converged — the hook the escalation property tests use.
-	forcedCE := func(chain *ctmc.CTMC, warm []float64) (*ctmc.ConvergenceError, error) {
+	// SiteSweepNonconverge trigger reports for a point whose solve
+	// actually converged — the hook the failure-attribution tests use.
+	forcedCE := func(chain *ctmc.CTMC, warm []float64) error {
 		resolved, err := chain.ResolveSolve(mkSolve(warm))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return &ctmc.ConvergenceError{Residual: 1, Tolerance: resolved.Tolerance, Sweep: resolved.Sweep, Point: -1}, nil
+		return &ctmc.ConvergenceError{Residual: 1, Tolerance: resolved.Tolerance, Sweep: resolved.Sweep, Point: -1}
 	}
 
-	// escalateLane runs the escalation ladder for point i whose base solve
-	// (solo or batched lane — the two are bit-identical) failed with ce.
-	// The trace's attempt 0 records the base failure exactly as
-	// ctmc.SteadyStateTraced would, so the ladder position is a pure
-	// function of the point's input, never of how lanes were packed.
-	escalateLane := func(chain *ctmc.CTMC, i int, warm []float64, ce *ctmc.ConvergenceError, forced bool) ([]float64, *ctmc.SolveTrace, error) {
-		if err := chain.Rebind(points[i]); err != nil {
-			return nil, nil, err
-		}
-		solve := mkSolve(warm)
-		resolved, err := chain.ResolveSolve(solve)
-		if err != nil {
-			return nil, nil, err
-		}
-		action := "base"
-		if forced {
-			action = "forced-nonconvergence"
-		}
-		trace := &ctmc.SolveTrace{Attempts: []ctmc.SolveAttempt{{
-			Rung:          0,
-			Action:        action,
-			Sweep:         ce.Sweep,
-			MaxIterations: resolved.MaxIterations,
-			Omega:         resolved.Omega,
-			WarmStart:     len(resolved.WarmStart) > 0,
-			Iterations:    ce.Iterations,
-			Residual:      ce.Residual,
-		}}}
-		return chain.EscalateFrom(solve, trace)
-	}
-
-	// solveAt solves one point on the given chain: rebind, base solve,
-	// injected-nonconvergence check, escalation, measure evaluation. It
-	// returns the report and the solution vector (the anchor needs the
-	// latter to seed the warm starts).
+	// solveAt solves one point on the given chain: rebind, solve,
+	// injected-nonconvergence check, measure evaluation. It returns the
+	// report and the solution vector (the anchor needs the latter to seed
+	// the warm starts).
 	solveAt := func(chain *ctmc.CTMC, i int, warm []float64) (*Phase2Report, []float64, error) {
 		if err := fault.Check(ctx, "pipeline.sweep", i, -1); err != nil {
 			return nil, nil, err
@@ -241,21 +205,8 @@ func (s *Session) Sweep(points [][]float64, ckOpts *CheckpointOptions) ([]*Phase
 			return nil, nil, err
 		}
 		pi, err := chain.SteadyState(mkSolve(warm))
-		var trace *ctmc.SolveTrace
-		forced := false
 		if err == nil && faultinject.Fire(faultinject.SiteSweepNonconverge, i) {
-			ce, ferr := forcedCE(chain, warm)
-			if ferr != nil {
-				return nil, nil, ferr
-			}
-			err = ce
-			forced = true
-		}
-		if err != nil {
-			var ce *ctmc.ConvergenceError
-			if spec.Solve.Escalation == ctmc.EscalateLadder && errors.As(err, &ce) {
-				pi, trace, err = escalateLane(chain, i, warm, ce, forced)
-			}
+			pi, err = nil, forcedCE(chain, warm)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -264,9 +215,7 @@ func (s *Session) Sweep(points [][]float64, ckOpts *CheckpointOptions) ([]*Phase
 		if err != nil {
 			return nil, nil, err
 		}
-		rep := report(values)
-		rep.Trace = trace
-		return rep, pi, nil
+		return report(values), pi, nil
 	}
 
 	// solvePoint is solveAt under the sweep worker's panic guard: a crash
@@ -399,15 +348,9 @@ func (s *Session) Sweep(points [][]float64, ckOpts *CheckpointOptions) ([]*Phase
 	if laneWidth > rest {
 		laneWidth = rest
 	}
-	if spec.Solve.Omega != 0 {
-		// The batched kernels always run the scheme-default damping; a
-		// custom Omega needs the per-point path, where SteadyState
-		// honors it.
-		laneWidth = 1
-	}
 	if laneWidth > 1 {
 		return s.sweepBatched(base, measures, points, reports, anchorPi, laneWidth,
-			report, attribute, mkSolve, forcedCE, escalateLane, finish)
+			report, attribute, mkSolve, forcedCE, finish)
 	}
 
 	workers := s.cfg.Workers
@@ -499,20 +442,16 @@ func (s *Session) Sweep(points [][]float64, ckOpts *CheckpointOptions) ([]*Phase
 // as the per-point path does). Chunks are independent — every lane seeds
 // from the anchor, never from a chunk-mate — so chunk-level workers change
 // nothing but wall-clock time, and a failure is attributed to the lowest
-// failed global point index, matching the per-point paths. Lanes that fail
-// to converge escalate solo (a lane's base failure is bit-identical to the
-// solo base attempt), and chunks whose every lane was restored from a
-// checkpoint are skipped outright.
+// failed global point index, matching the per-point paths. Chunks whose
+// every lane was restored from a checkpoint are skipped outright.
 func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, points [][]float64,
 	reports []*Phase2Report, anchorPi []float64, laneWidth int,
 	report func(map[string]float64) *Phase2Report, attribute func(error, int) error,
 	mkSolve func([]float64) ctmc.SolveOptions,
-	forcedCE func(*ctmc.CTMC, []float64) (*ctmc.ConvergenceError, error),
-	escalateLane func(*ctmc.CTMC, int, []float64, *ctmc.ConvergenceError, bool) ([]float64, *ctmc.SolveTrace, error),
+	forcedCE func(*ctmc.CTMC, []float64) error,
 	finish func(int, *Phase2Report) error) ([]*Phase2Report, error) {
 
 	ctx := s.cfg.Ctx
-	escalation := s.st.spec.Solve.Escalation
 
 	// translate maps a SolveBatch failure of the chunk at offset off to
 	// its global point index and the unwrapped per-lane error.
@@ -538,23 +477,9 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, poin
 		}
 		for lane := 0; lane < width; lane++ {
 			i := off + lane
-			pi := pis[lane]
-			var trace *ctmc.SolveTrace
 			lerr := laneErrs[lane]
-			forced := false
 			if lerr == nil && faultinject.Fire(faultinject.SiteSweepNonconverge, i) {
-				ce, ferr := forcedCE(chain, anchorPi)
-				if ferr != nil {
-					return i, ferr
-				}
-				lerr = ce
-				forced = true
-			}
-			if lerr != nil {
-				var ce *ctmc.ConvergenceError
-				if escalation == ctmc.EscalateLadder && errors.As(lerr, &ce) {
-					pi, trace, lerr = escalateLane(chain, i, anchorPi, ce, forced)
-				}
+				lerr = forcedCE(chain, anchorPi)
 			}
 			if lerr != nil {
 				return i, attribute(lerr, i)
@@ -562,13 +487,11 @@ func (s *Session) sweepBatched(base *ctmc.CTMC, measures []measure.Measure, poin
 			if err := chain.Rebind(points[i]); err != nil {
 				return i, err
 			}
-			values, err := measure.EvalAll(measures, chain, pi)
+			values, err := measure.EvalAll(measures, chain, pis[lane])
 			if err != nil {
 				return i, err
 			}
-			rep := report(values)
-			rep.Trace = trace
-			if err := finish(i, rep); err != nil {
+			if err := finish(i, report(values)); err != nil {
 				return i, err
 			}
 		}

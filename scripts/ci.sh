@@ -32,16 +32,18 @@ go test -timeout 10m ./...
 echo "== go test -race =="
 go test -timeout 10m -race ./...
 
-# Fault-injection smoke under the race detector at -cpu 1,2: one injected
-# worker panic and one injected non-convergence per sweep mode (the
-# TestFaultInjection* and TestPhase2Sweep*Escalat*/Panic*/Cancel*/
-# Checkpoint* properties in internal/pipeline and internal/ctmc), on both
-# the degenerate and a two-core schedule. The recovery paths — panic
-# capture, lowest-index attribution, escalation, checkpoint replay — are
-# themselves concurrent code and get their race coverage here.
+# Fault-injection smoke under the race detector at -cpu 1,2: injected
+# worker panics, an injected non-convergence attributed to its sweep
+# point, cancellations at exact iterations, and checkpoint failures (the
+# TestFaultInjection*, *Panic*, TestPhase2SweepForcedNonconvergence*,
+# *Cancel* and *Checkpoint* properties in internal/pipeline,
+# internal/ctmc, internal/lts, internal/sim and the fault packages), on
+# both the degenerate and a two-core schedule. The recovery paths — panic
+# capture, lowest-index attribution, checkpoint replay — are themselves
+# concurrent code and get their race coverage here.
 echo "== fault-injection smoke (-race -cpu 1,2) =="
 go test -timeout 10m -race -cpu 1,2 \
-    -run 'FaultInject|Panic|Escalat|Cancel|Checkpoint' \
+    -run 'FaultInject|Panic|Nonconvergence|Cancel|Checkpoint' \
     ./internal/pipeline/ ./internal/ctmc/ ./internal/lts/ ./internal/sim/ ./internal/faultinject/ ./internal/fault/
 
 # Session-sharing smoke under the race detector at -cpu 1,2: concurrent
@@ -91,15 +93,15 @@ echo "== bench smoke =="
 go test -timeout 10m -short -run '^$' -bench . -benchtime 1x ./...
 
 # Race smoke of the parallel hot paths at -cpu 1,2: the worker-pooled
-# state-space generation, the Jacobi solver pool (solo and batched), the
-# batched multi-lane kernel, and the sweep/simulation pools each run one
+# state-space generation, the solo Gauss-Seidel solve, the batched
+# multi-lane kernel, and the sweep/simulation pools each run one
 # iteration under the race detector on both the degenerate and a two-core
 # schedule (plain -race tests cover GOMAXPROCS as-is only).
 # Only the Batched variants of the BatchSolve benches run here: the
 # per-point variants exercise the solo solver, which the SteadyState
 # patterns already race-test, so rerunning them would only add race-
 # instrumented minutes without new coverage. Of the Multilevel benches,
-# only the multilevel-scheme ε pair runs: the Gauss-Seidel/Jacobi
+# only the multilevel-scheme ε pair runs: the Gauss-Seidel
 # reference sides grind for hundreds of thousands of race-instrumented
 # sweeps to measure work the timing modes already report. Of the Compose
 # benches, the default-size rpc/streaming pairs run and the 10×-buffer
@@ -107,6 +109,6 @@ go test -timeout 10m -short -run '^$' -bench . -benchtime 1x ./...
 # generation would dominate the job for a path the default sizes already
 # cover.
 echo "== bench race smoke (-cpu 1,2) =="
-scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyState(GaussSeidel|Jacobi)|SweepReuse|BatchSolve(RPC|Streaming)Batched|MultilevelEps(Multilevel|BatchedMultilevel)|Compose(RPC|Streaming)(Full|Minimized)$'
+scripts/bench_compare.sh -s -p 'Sequential|Parallel|SteadyStateGaussSeidel|SweepReuse|BatchSolve(RPC|Streaming)Batched|MultilevelEps(Multilevel|BatchedMultilevel)|Compose(RPC|Streaming)(Full|Minimized)$'
 
 echo "CI OK"
